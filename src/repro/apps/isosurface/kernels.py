@@ -425,6 +425,9 @@ def make_active_pixels_class(width: int, height: int) -> type:
             self.idx = np.zeros(0, dtype=np.int64)
             self.depth = np.zeros(0)
             self.color = np.zeros(0)
+            #: entries left by the last _compact(); the arrays are
+            #: canonical exactly while their length still equals it
+            self._compacted = 0
 
         def accum(self, frags: np.ndarray) -> None:
             pts = np.asarray(frags, dtype=np.float64).reshape(-1, 4)
@@ -433,14 +436,24 @@ def make_active_pixels_class(width: int, height: int) -> type:
             ix = pts[:, 0].astype(np.int64)
             iy = pts[:, 1].astype(np.int64)
             idx = iy * width + ix
+            self._extend(idx, pts[:, 2], pts[:, 3])
+
+        def _extend(self, idx, depth, color) -> None:
+            """Append entries; compact only once the set has doubled since
+            the last compaction (and is worth sorting at all), so folding
+            P partials costs O(log P) sorts of the whole set, not P."""
             self.idx = np.concatenate([self.idx, idx])
-            self.depth = np.concatenate([self.depth, pts[:, 2]])
-            self.color = np.concatenate([self.color, pts[:, 3]])
-            if len(self.idx) > 8 * width:  # keep the sparse set compact
+            self.depth = np.concatenate([self.depth, depth])
+            self.color = np.concatenate([self.color, color])
+            if len(self.idx) > max(8 * width, 2 * self._compacted):
                 self._compact()
 
         def _compact(self) -> None:
-            if len(self.idx) == 0:
+            """One entry per pixel, sorted by pixel: the canonical state.
+
+            The survivor per pixel is the (depth, color) minimum, so when
+            and how often this runs cannot change what it converges to."""
+            if len(self.idx) == self._compacted:
                 return
             # sort by pixel, then depth, then color: the survivor per pixel
             # is order-independent even under depth ties
@@ -451,6 +464,7 @@ def make_active_pixels_class(width: int, height: int) -> type:
             self.idx = idx[first]
             self.depth = self.depth[order][first]
             self.color = self.color[order][first]
+            self._compacted = len(self.idx)
 
         def batch_accum(self, frags) -> None:
             """Columnar accum; canonical on pack()/_compact(), so the
@@ -459,10 +473,7 @@ def make_active_pixels_class(width: int, height: int) -> type:
             self.accum(np.asarray(values, dtype=np.float64).reshape(-1))
 
         def merge(self, other: "ActivePixels") -> None:
-            self.idx = np.concatenate([self.idx, other.idx])
-            self.depth = np.concatenate([self.depth, other.depth])
-            self.color = np.concatenate([self.color, other.color])
-            self._compact()
+            self._extend(other.idx, other.depth, other.color)
 
         def pack(self) -> dict[str, np.ndarray]:
             self._compact()
@@ -493,6 +504,7 @@ def make_active_pixels_class(width: int, height: int) -> type:
 
         @property
         def nbytes(self) -> int:
+            self._compact()
             return self.idx.nbytes + self.depth.nbytes + self.color.nbytes
 
     ActivePixels.__name__ = f"ActivePixels{width}x{height}"

@@ -131,12 +131,28 @@ def make_knn_class(k: int) -> type:
             self._select_k()
 
         def _select_k(self) -> None:
+            """Cut to the k lexicographically smallest (d, x, y, z), sorted.
+
+            Selects before it sorts: only candidates no farther than the
+            k-th smallest distance can make the cut, so the 4-key lexsort
+            runs over those few (k plus boundary ties) instead of the whole
+            packet.  The survivors keep their relative order, so the stable
+            sort breaks full ties exactly as it does over everything.
+            With at most k candidates, or fewer than k comparable distances
+            (NaN), everything is sorted."""
+            cols = (self.pz, self.py, self.px, self.dist)
+            near = None
             if len(self.dist) > k:
-                order = np.lexsort((self.pz, self.py, self.px, self.dist))[:k]
-                self.dist = self.dist[order]
-                self.px = self.px[order]
-                self.py = self.py[order]
-                self.pz = self.pz[order]
+                kth = np.partition(self.dist, k - 1)[k - 1]
+                near = np.flatnonzero(self.dist <= kth)
+            if near is not None and len(near) >= k:
+                order = near[np.lexsort(tuple(c[near] for c in cols))[:k]]
+            else:
+                order = np.lexsort(cols)[:k]
+            self.dist = self.dist[order]
+            self.px = self.px[order]
+            self.py = self.py[order]
+            self.pz = self.pz[order]
             self._worst = -1
 
         def pack(self) -> dict[str, np.ndarray]:
@@ -277,14 +293,42 @@ def make_knn_lanes_class(k: int, lanes: int) -> type:
             self._select_k()
 
         def _select_k(self) -> None:
-            if self.dist.shape[1] > k:
-                order = np.lexsort((self.pz, self.py, self.px, self.dist))[
-                    :, :k
-                ]
-                self.dist = np.take_along_axis(self.dist, order, axis=1)
-                self.px = np.take_along_axis(self.px, order, axis=1)
-                self.py = np.take_along_axis(self.py, order, axis=1)
-                self.pz = np.take_along_axis(self.pz, order, axis=1)
+            """Per lane, cut to the k smallest (d, x, y, z), sorted.
+
+            Same select-then-sort as the single-lane class, on a
+            rectangle: every lane keeps its ``m`` nearest candidates in
+            arrival order, ``m`` being the largest per-lane count of
+            distances no farther than that lane's k-th smallest, and the
+            lexsort runs over ``(lanes, m)``.  With at most k candidates,
+            a lane with fewer than k comparable distances (NaN), or a tie
+            set so large that the rectangle would be most of the input,
+            everything is sorted."""
+            cols = (self.pz, self.py, self.px, self.dist)
+            n = self.dist.shape[1]
+            keep = None
+            if n > k:
+                kth = np.partition(self.dist, k - 1, axis=1)[:, k - 1 : k]
+                near = self.dist <= kth
+                counts = near.sum(axis=1)
+                m = int(counts.max())
+                if int(counts.min()) >= k and 2 * m <= n:
+                    # stable sort on "not near": each lane's near
+                    # candidates first, in arrival order
+                    keep = np.argsort(~near, axis=1, kind="stable")[:, :m]
+            if keep is None:
+                order = np.lexsort(cols)[:, :k]
+            else:
+                order = np.take_along_axis(
+                    keep,
+                    np.lexsort(
+                        tuple(np.take_along_axis(c, keep, axis=1) for c in cols)
+                    )[:, :k],
+                    axis=1,
+                )
+            self.dist = np.take_along_axis(self.dist, order, axis=1)
+            self.px = np.take_along_axis(self.px, order, axis=1)
+            self.py = np.take_along_axis(self.py, order, axis=1)
+            self.pz = np.take_along_axis(self.pz, order, axis=1)
 
         def pack(self) -> dict[str, np.ndarray]:
             # cut before shipping so a packet still crosses the boundary

@@ -16,7 +16,9 @@ directly with
   on a full queue or a consumer waits on an empty one longer than
   :data:`BLOCKED_MIN_SECONDS` (the backpressure picture: *where* the
   pipeline pushes back is exactly what the decomposition tries to
-  balance).
+  balance).  On the threaded engine a blocked copy has passed its
+  pipeline's baton on, and the wait to get it back is part of the same
+  blocked interval — which is what keeps it out of the copy's busy time.
 
 :class:`Trace` is the in-memory collector plus the query API the harness
 builds on: per-packet seconds per filter (the measured side of

@@ -149,7 +149,10 @@ def run_recoverable_copy(
     (retry loop / respawned worker) decides whether another attempt
     follows; ``out_stream.close_producer()`` is the caller's job and
     must happen exactly once per *logical* copy, after the final
-    attempt's outcome is known.
+    attempt's outcome is known.  So is the threaded engine's baton: the
+    caller holds it across the attempt and releases it however the
+    attempt ends; in here only the stream operations (``flush``'s puts,
+    the consumer's gets) pass it on while they block.
     """
     if injector is not None:
         heartbeat = injector.wrap_heartbeat(heartbeat)

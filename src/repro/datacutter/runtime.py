@@ -10,6 +10,18 @@ The pipeline shape is linear (the paper's model: each filter has one input
 and one output stream), with the first filter a
 :class:`~repro.datacutter.filters.SourceFilter` and the results collected
 from the last filter's output stream.
+
+Scheduling contract: at most one filter copy of a pipeline runs filter code
+at a time.  A run owns one :class:`~repro.datacutter.streams.Baton`; a copy
+holds it from before ``init`` until its thread ends and gives it up only
+where it would block anyway — a stream ``get`` on an empty queue, a stream
+``put`` on a full one, the retry back-off sleep.  Under the GIL the copies
+could never overlap their Python or NumPy work, only fight over the
+interpreter inside every GIL-releasing call; with the baton they hand it over
+at buffer boundaries instead.  A filter that sleeps or does I/O outside the
+stream operations keeps the baton and stalls its pipeline: the process
+engine is the one that overlaps such filters.  Separate pipelines (separate
+``run()`` calls) have separate batons and do not wait for each other.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from .obs.trace import Span, TraceCollector
 from .recovery.faults import FaultPlan, make_injector
 from .recovery.policy import RetryPolicy
 from .recovery.replay import LocalRecoverySink, run_recoverable_copy
-from .streams import CollectorStream, LogicalStream, RoundRobin
+from .streams import Baton, CollectorStream, LogicalStream, RoundRobin
 
 
 @dataclass(slots=True)
@@ -100,6 +112,7 @@ class ThreadedPipeline:
         trace = self.trace
         if trace is not None:
             trace.note(engine=self.engine_name)
+        baton = Baton()
         streams: list[LogicalStream] = []
         for k in range(len(specs) - 1):
             policy = specs[k].out_policy or RoundRobin()
@@ -114,6 +127,7 @@ class ThreadedPipeline:
                     capacity=self.queue_capacity,
                     policy=policy,
                     trace=trace,
+                    baton=baton,
                 )
             )
         collector = CollectorStream(
@@ -131,7 +145,9 @@ class ThreadedPipeline:
             for copy_index in range(spec.width):
                 thread = threading.Thread(
                     target=self._run_copy,
-                    args=(spec, copy_index, in_stream, out_stream, errors, trace),
+                    args=(
+                        spec, copy_index, in_stream, out_stream, errors, trace, baton
+                    ),
                     name=f"{spec.name}#{copy_index}",
                     daemon=True,
                 )
@@ -145,17 +161,25 @@ class ThreadedPipeline:
         # stats are never read mid-flight.  (Joining first is safe because
         # the collector queue is unbounded: the last stage never blocks on
         # the sink, so the pipeline drains without the caller consuming.)
-        stuck: list[str] = []
+        alive: list[threading.Thread] = []
         for thread in threads:
             thread.join(timeout=self.join_timeout)
             if thread.is_alive():
-                stuck.append(thread.name)
-        if stuck:
+                alive.append(thread)
+        if alive:
+            # the baton holder is the copy wedged inside filter code; the
+            # rest only wait for it (for the baton or for its buffers)
+            holder = baton.holder
+            stuck = [t.name for t in alive if t.ident == holder]
+            waiting = [t.name for t in alive if t.ident != holder]
+            if not stuck:
+                stuck, waiting = waiting, []
+            behind = f"; waiting on it: {', '.join(waiting)}" if waiting else ""
             detail = "\n".join(errors) + "\n" if errors else ""
             raise PipelineError(
                 f"{detail}filter copies still running after "
                 f"{self.join_timeout:.0f}s join timeout (stuck): "
-                f"{', '.join(stuck)}; their daemon threads were abandoned"
+                f"{', '.join(stuck)}{behind}; their daemon threads were abandoned"
             )
         if errors:
             raise PipelineError("\n".join(errors))
@@ -178,30 +202,41 @@ class ThreadedPipeline:
         in_stream: LogicalStream | None,
         out_stream: LogicalStream,
         errors: list[str],
-        trace: TraceCollector | None = None,
+        trace: TraceCollector | None,
+        baton: Baton,
     ) -> None:
-        if self.retry is not None or self.faults is not None:
-            self._run_copy_recoverable(
-                spec, copy_index, in_stream, out_stream, errors, trace
-            )
-            return
-        ctx = FilterContext(
-            name=spec.name,
-            copy_index=copy_index,
-            n_copies=spec.width,
-            emit=out_stream.put,
-            params=spec.params,
-        )
-        filt: Filter = spec.make()
+        """Thread body of one filter copy: run it holding the baton.
+
+        Whatever ends the copy — end of stream, a filter bug, an injected
+        fault — the baton goes back first (the other copies of the
+        pipeline must be able to run on), then the output stream is
+        closed, without the baton because the end-of-stream put may block."""
+        baton.acquire()
         try:
-            run_filter_copy(
-                filt, ctx, spec, copy_index, in_stream, out_stream, trace
+            if self.retry is not None or self.faults is not None:
+                self._run_copy_recoverable(
+                    spec, copy_index, in_stream, out_stream, errors, trace, baton
+                )
+                return
+            ctx = FilterContext(
+                name=spec.name,
+                copy_index=copy_index,
+                n_copies=spec.width,
+                emit=out_stream.put,
+                params=spec.params,
             )
-        except Exception:  # noqa: BLE001 - reported to the caller
-            errors.append(
-                f"filter {spec.name}#{copy_index} failed:\n{traceback.format_exc()}"
-            )
+            filt: Filter = spec.make()
+            try:
+                run_filter_copy(
+                    filt, ctx, spec, copy_index, in_stream, out_stream, trace
+                )
+            except Exception:  # noqa: BLE001 - reported to the caller
+                errors.append(
+                    f"filter {spec.name}#{copy_index} failed:\n"
+                    f"{traceback.format_exc()}"
+                )
         finally:
+            baton.release()
             out_stream.close_producer()
 
     def _run_copy_recoverable(
@@ -211,7 +246,8 @@ class ThreadedPipeline:
         in_stream: LogicalStream | None,
         out_stream: LogicalStream,
         errors: list[str],
-        trace: TraceCollector | None = None,
+        trace: TraceCollector | None,
+        baton: Baton,
     ) -> None:
         """In-thread retry loop for one logical filter copy.
 
@@ -219,61 +255,58 @@ class ThreadedPipeline:
         :class:`~repro.datacutter.recovery.replay.LocalRecoverySink`'s
         bookkeeping — checkpointed state plus replay of unacknowledged
         packets — so a mid-packet failure never loses or duplicates
-        packet effects downstream."""
+        packet effects downstream.  The back-off between attempts is slept
+        without the baton."""
         policy = self.retry or RetryPolicy(max_attempts=1)
         budget = policy.attempts_for(spec.name)
         sink = LocalRecoverySink()
-        try:
-            for attempt in range(budget):
-                if attempt > 0:
-                    restart_t0 = time.perf_counter()
+        for attempt in range(budget):
+            if attempt > 0:
+                restart_t0 = time.perf_counter()
+                with baton.paused():
                     time.sleep(policy.backoff_for(attempt))
-                ctx = FilterContext(
-                    name=spec.name,
-                    copy_index=copy_index,
-                    n_copies=spec.width,
-                    emit=out_stream.put,
-                    params=spec.params,
-                )
-                filt: Filter = spec.make()
-                injector = make_injector(
-                    self.faults, spec.name, copy_index, attempt
-                )
-                if attempt > 0 and trace is not None:
-                    trace.record_span(
-                        Span(
-                            spec.name,
-                            copy_index,
-                            "restart",
-                            None,
-                            restart_t0,
-                            time.perf_counter(),
-                        )
-                    )
-                try:
-                    run_recoverable_copy(
-                        filt,
-                        ctx,
-                        spec,
+            ctx = FilterContext(
+                name=spec.name,
+                copy_index=copy_index,
+                n_copies=spec.width,
+                emit=out_stream.put,
+                params=spec.params,
+            )
+            filt: Filter = spec.make()
+            injector = make_injector(self.faults, spec.name, copy_index, attempt)
+            if attempt > 0 and trace is not None:
+                trace.record_span(
+                    Span(
+                        spec.name,
                         copy_index,
-                        in_stream,
-                        out_stream,
-                        progress=sink.progress(attempt),
-                        sink=sink,
-                        trace=trace,
-                        injector=injector,
+                        "restart",
+                        None,
+                        restart_t0,
+                        time.perf_counter(),
+                    )
+                )
+            try:
+                run_recoverable_copy(
+                    filt,
+                    ctx,
+                    spec,
+                    copy_index,
+                    in_stream,
+                    out_stream,
+                    progress=sink.progress(attempt),
+                    sink=sink,
+                    trace=trace,
+                    injector=injector,
+                )
+                return
+            except Exception:  # noqa: BLE001 - retried or reported
+                if attempt + 1 >= budget:
+                    errors.append(
+                        f"filter {spec.name}#{copy_index} failed after "
+                        f"{attempt + 1} attempt(s) (retry budget {budget}):\n"
+                        f"{traceback.format_exc()}"
                     )
                     return
-                except Exception:  # noqa: BLE001 - retried or reported
-                    if attempt + 1 >= budget:
-                        errors.append(
-                            f"filter {spec.name}#{copy_index} failed after "
-                            f"{attempt + 1} attempt(s) (retry budget {budget}):\n"
-                            f"{traceback.format_exc()}"
-                        )
-                        return
-        finally:
-            out_stream.close_producer()
 
 
 def run_filter_copy(

@@ -11,6 +11,9 @@ A :class:`LogicalStream` connects ``p`` producer copies to ``c`` consumer
 copies through bounded per-copy queues.  Producers call :meth:`put`; the
 distribution policy picks the consumer copy.  End-of-work propagates once
 *all* producer copies have signalled completion.
+
+The streams are also where the threaded engine's copies hand over to each
+other: ``put``/``get`` pass the run's :class:`Baton` on while they block.
 """
 
 from __future__ import annotations
@@ -18,13 +21,51 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 from .buffers import Buffer, StreamStats
 from .obs.trace import TraceCollector, record_queue_op
 
 #: sentinel delivered to each consumer copy when the stream drains
 _EOS = object()
+
+
+class Baton:
+    """The right to run filter code in one threaded pipeline run.
+
+    A plain lock that remembers its holder, so a join timeout can tell the
+    copy that is stuck *inside* filter code from the copies queued up
+    behind it.  A copy acquires it before ``init`` and keeps it until its
+    thread ends, except while it is blocked: in a stream ``get`` on an
+    empty queue, a stream ``put`` on a full one, or (:meth:`paused`) the
+    retry back-off sleep.  A filter that sleeps or does I/O elsewhere
+    keeps the baton and stalls its pipeline — the process engine is the
+    one that overlaps such filters."""
+
+    __slots__ = ("_lock", "holder")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: ``threading.get_ident()`` of the copy running filter code, or None
+        self.holder: int | None = None
+
+    def acquire(self) -> None:
+        self._lock.acquire()
+        self.holder = threading.get_ident()
+
+    def release(self) -> None:
+        self.holder = None
+        self._lock.release()
+
+    @contextmanager
+    def paused(self) -> Iterator[None]:
+        """Give the baton up around a blocking wait of the holder."""
+        self.release()
+        try:
+            yield
+        finally:
+            self.acquire()
 
 
 class DistributionPolicy:
@@ -86,6 +127,7 @@ class LogicalStream:
         capacity: int | None = 16,
         policy: Optional[DistributionPolicy] = None,
         trace: Optional[TraceCollector] = None,
+        baton: Optional[Baton] = None,
     ) -> None:
         if n_producers < 1 or n_consumers < 1:
             raise ValueError("streams need at least one copy on each side")
@@ -100,6 +142,9 @@ class LogicalStream:
         self.n_consumers = n_consumers
         self.policy = policy or RoundRobin()
         self.trace = trace
+        #: held by every caller of put()/get() when set (the threaded
+        #: engine's filter copies); None for a free-standing stream
+        self.baton = baton
         self._queues: list[queue.Queue] = [
             queue.Queue(maxsize=0 if capacity is None else capacity)
             for _ in range(n_consumers)
@@ -107,6 +152,28 @@ class LogicalStream:
         self._open_producers = n_producers
         self._lock = threading.Lock()
         self.stats = StreamStats()
+
+    # -- queue ops that pass the baton on while they block -------------------
+    def _enqueue(self, q: queue.Queue, buf: Buffer) -> None:
+        baton = self.baton
+        if baton is None:
+            q.put(buf)
+            return
+        try:
+            q.put(buf, False)
+        except queue.Full:
+            with baton.paused():
+                q.put(buf)
+
+    def _dequeue(self, q: queue.Queue, timeout: float | None) -> Any:
+        baton = self.baton
+        if baton is None:
+            return q.get(timeout=timeout)
+        try:
+            return q.get(False)
+        except queue.Empty:
+            with baton.paused():
+                return q.get(timeout=timeout)
 
     # -- producer side -------------------------------------------------------
     def put(self, buf: Buffer) -> None:
@@ -116,24 +183,28 @@ class LogicalStream:
         if trace is None:
             if target == -1:
                 for q in self._queues:
-                    q.put(buf)
+                    self._enqueue(q, buf)
             else:
-                self._queues[target].put(buf)
+                self._enqueue(self._queues[target], buf)
             return
         # broadcast (-1) fans out to every consumer queue; each put is its
         # own queue op so blocked-put time on any full copy is accounted
+        # (the wait to get the baton back is part of that blocked time)
         targets = range(self.n_consumers) if target == -1 else (target,)
         for idx in targets:
             q = self._queues[idx]
             t0 = time.perf_counter()
-            q.put(buf)
+            self._enqueue(q, buf)
             record_queue_op(
                 trace, self.name, "put", t0, time.perf_counter(), q.qsize()
             )
 
     def close_producer(self) -> None:
         """Called by each producer copy when it finishes its unit-of-work;
-        the last close broadcasts end-of-stream to all consumer copies."""
+        the last close broadcasts end-of-stream to all consumer copies.
+
+        The end-of-stream put can block on a full queue and does not pass
+        the baton on: the engine calls this after the copy released it."""
         with self._lock:
             self._open_producers -= 1
             if self._open_producers < 0:
@@ -148,10 +219,10 @@ class LogicalStream:
         trace = self.trace
         q = self._queues[consumer_index]
         if trace is None:
-            item = q.get(timeout=timeout)
+            item = self._dequeue(q, timeout)
         else:
             t0 = time.perf_counter()
-            item = q.get(timeout=timeout)
+            item = self._dequeue(q, timeout)
             record_queue_op(
                 trace, self.name, "get", t0, time.perf_counter(), q.qsize()
             )
@@ -180,6 +251,7 @@ class CollectorStream(LogicalStream):
         trace: Optional[TraceCollector] = None,
     ) -> None:
         # unbounded (capacity=None) so the sink never blocks the pipeline
+        # (and so never needs to pass a baton on)
         super().__init__(
             name, n_producers=n_producers, n_consumers=1, capacity=None, trace=trace
         )
