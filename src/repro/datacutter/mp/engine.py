@@ -26,23 +26,36 @@ is exactly the startup cost the paper's long-lived filtering services
 avoid, so the pool is reusable across runs: workers are forked once and
 then loop on a per-worker order channel receiving *work epochs*.  A warm
 :class:`~repro.datacutter.engine.EngineSession` marks the engine resident
-(:meth:`ProcessPipeline.retain`); each subsequent ``run()`` then ships
-the freshly bound :class:`FilterSpec` values (packets, params, widths,
+(:meth:`ProcessPipeline.retain`); each subsequent ``run()`` then encodes
+the freshly bound :class:`FilterSpec` list (packets, params, widths,
 routing policy — the generated filter classes are already in the fork
-image, anchored by :mod:`repro.codegen.generated_registry`) over the
-order channels instead of forking, and the epoch id correlates every
-end-of-stream sentinel and ``done`` handshake so a straggler from epoch
-N cannot pollute epoch N+1.  The supervisor stays up across epochs —
-heartbeats, crash respawn, and checkpoint replay all work mid-epoch on a
-resident worker — and each worker's :class:`ShmPool` segments persist
-and are reused across epochs, with per-epoch reuse counters reported
-into the trace.  The pool *reforks* transparently whenever an epoch
-cannot be shipped by value: a different pipeline shape, a filter class
-generated after the pool was forked, or unpicklable spec contents.
-Without ``retain()`` each ``run()`` forks and joins its own pool —
-byte-identical behaviour to the historical fork-per-run engine — and
-:meth:`close` performs the single real teardown of a resident pool
-(poison-pill orders, join, shared-memory teardown).
+image, anchored by :mod:`repro.codegen.generated_registry`) **once** into
+the pool's :class:`~repro.datacutter.mp.arena.EpochArena`, an anonymous
+file every worker inherited through ``fork``, and sends each worker an
+order of tens of bytes — ``("epoch", epoch, arena_ref, spec_index,
+progress, faults)`` — whatever the size of the dataset.  The worker maps
+the arena copy-on-write and unpickles its spec around views of that
+mapping, so the dataset never enters a pipe and is never copied per
+worker (see :mod:`~repro.datacutter.mp.arena` for the layout and the
+invariants: one writer between epochs, the file only grows, respawns
+read the fork image, the arena dies with its pool).  The epoch id
+correlates every end-of-stream sentinel and ``done`` handshake so a
+straggler from epoch N cannot pollute epoch N+1.  The supervisor stays up
+across epochs — heartbeats, crash respawn, and checkpoint replay all work
+mid-epoch on a resident worker — and each worker's :class:`ShmPool`
+segments persist and are reused across epochs, with per-epoch reuse
+counters reported into the trace.  The pool *reforks* transparently
+whenever an epoch cannot be shipped by value — a different pipeline shape
+(``shape``), a filter class generated after the pool was forked
+(``registry``), a worker that died while idle (``dead-worker``), or spec
+contents that do not pickle (``unpicklable: <exception type>``) — and the
+``worker_pool`` trace note says which, as ``refork_reason``, next to the
+bytes that crossed the order pipes (``order_bytes``) and the bytes
+encoded into the arena (``arena_bytes``).  Without ``retain()`` each
+``run()`` forks and joins its own pool — byte-identical behaviour to the
+historical fork-per-run engine — and :meth:`close` performs the single
+real teardown of a resident pool (poison-pill orders, join, arena and
+shared-memory teardown).
 
 Results, stream statistics, error semantics, and observability mirror the
 threaded engine: ``run()`` returns the same :class:`RunResult` shape, a
@@ -69,6 +82,7 @@ from ..recovery.faults import FaultPlan
 from ..recovery.policy import RetryPolicy
 from ..recovery.replay import CopyProgress
 from ..runtime import PipelineError, RunResult
+from .arena import EpochArena
 from .channels import ProcessEdge
 from .supervisor import Supervisor, WorkerHandle
 from .transport import DEFAULT_SHM_MIN_BYTES, pool_stats, pool_teardown
@@ -115,6 +129,9 @@ class _WorkerPool:
     #: wid -> parent copy of the worker-side (recv) end, closed at teardown
     order_recv: dict[int, Any]
     supervisor: Supervisor
+    #: where each epoch's spec list is encoded, once, for every worker;
+    #: created before the fork so the children inherit its descriptor
+    arena: EpochArena
     #: generated-registry attribute names present at fork time: a spec
     #: whose factory was registered later cannot unpickle in the children
     registry_names: frozenset[str] = field(default_factory=frozenset)
@@ -233,13 +250,18 @@ class ProcessPipeline:
         epoch = self._epoch
 
         pool = self._pool
+        order_msgs: list[bytes] = []
+        refork_reason = None
         if pool is not None:
-            order_blobs = self._pack_orders(pool, specs, epoch)
-            if order_blobs is None:
+            refork_reason = self._refork_reason(pool, specs)
+            if refork_reason is None:
+                try:
+                    order_msgs = self._pack_orders(pool, specs, epoch)
+                except Exception as exc:  # noqa: BLE001 - closures, lambdas, open handles
+                    refork_reason = f"unpicklable: {type(exc).__name__}"
+            if refork_reason is not None:
                 # the resident pool cannot serve this epoch by value:
-                # different shape, post-fork generated classes, or
-                # unpicklable spec contents — refork with specs inherited
-                # through the fork image instead
+                # refork with specs inherited through the fork image
                 self._shutdown_pool()
                 pool = None
                 self._reforks += 1
@@ -247,7 +269,7 @@ class ProcessPipeline:
             pool = self._fork_pool(mpctx, specs, epoch)
             self._pool = pool
         else:
-            self._begin_epoch(pool, specs, epoch, order_blobs)
+            self._begin_epoch(pool, specs, epoch, order_msgs)
 
         supervisor = pool.supervisor
         try:
@@ -292,6 +314,13 @@ class ProcessPipeline:
                     "epoch": epoch,
                     "forks": self._forks,
                     "reforks": self._reforks,
+                    # why this run reforked (None: it did not)
+                    "refork_reason": refork_reason,
+                    # what crossed the order pipes / went into the arena
+                    # for this epoch; both 0 when the specs travelled in
+                    # a fork image instead
+                    "order_bytes": sum(map(len, order_msgs)),
+                    "arena_bytes": pool.arena.nbytes if order_msgs else 0,
                 }
             )
         return result
@@ -385,6 +414,7 @@ class ProcessPipeline:
             orders=orders,
             order_recv=order_recv,
             supervisor=supervisor,
+            arena=EpochArena(),
             registry_names=frozenset(vars(_generated_registry())),
         )
 
@@ -411,6 +441,7 @@ class ProcessPipeline:
                     recv_end,
                     supervisor.epoch,
                     pool.resident,
+                    pool.arena,
                 ),
                 name=f"{spec.name}#{copy_index}",
                 daemon=True,
@@ -433,24 +464,22 @@ class ProcessPipeline:
         self._forks += 1
         return pool
 
-    def _pack_orders(
-        self, pool: _WorkerPool, specs: list[FilterSpec], epoch: int
-    ) -> dict[int, bytes] | None:
-        """Pre-pickle one epoch order per worker; None means refork.
+    def _refork_reason(
+        self, pool: _WorkerPool, specs: list[FilterSpec]
+    ) -> str | None:
+        """Why ``pool`` cannot take ``specs`` as a work epoch; None: it can.
 
-        All orders are encoded *before any is sent*, so an unpicklable
-        spec can never leave the pool half-dispatched into an epoch.  A
-        factory anchored in the generated registry after the pool was
-        forked pickles fine here but would fail lookup in the children —
-        the fork-time registry snapshot catches that proactively."""
-        if not pool.resident or self._resident != pool.resident:
-            return None
+        A factory anchored in the generated registry after the pool was
+        forked pickles fine in the parent but would fail lookup in the
+        children — the fork-time registry snapshot catches that here."""
         if pool.layout != tuple((s.name, s.width) for s in specs):
-            return None
-        if any(
+            return "shape"
+        # a worker died while idle (OOM kill, signal), or the pool was
+        # forked before retain() and its workers left after their epoch
+        if not pool.resident or any(
             w.process is None or not w.process.is_alive() for w in pool.workers
         ):
-            return None  # a worker died while idle (OOM kill, signal)
+            return "dead-worker"
         registry_name = _generated_registry().__name__
         for spec in specs:
             factory = spec.factory
@@ -458,31 +487,39 @@ class ProcessPipeline:
                 getattr(factory, "__module__", None) == registry_name
                 and getattr(factory, "__qualname__", "") not in pool.registry_names
             ):
-                return None
-        blobs: dict[int, bytes] = {}
-        worker_id = 0
-        try:
-            for spec in specs:
-                for _copy in range(spec.width):
-                    progress = CopyProgress() if pool.recovering else None
-                    # the fault plan rides along so chaos config tracks the
-                    # engine's current value each epoch instead of freezing
-                    # at whatever the pool was forked with
-                    blobs[worker_id] = pickle.dumps(
-                        ("epoch", epoch, spec, progress, self.faults),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                    worker_id += 1
-        except Exception:  # noqa: BLE001 - closures, lambdas, open handles
-            return None
-        return blobs
+                return "registry"
+        return None
+
+    def _pack_orders(
+        self, pool: _WorkerPool, specs: list[FilterSpec], epoch: int
+    ) -> list[bytes]:
+        """Encode the epoch into the arena, once, and one small order per
+        worker naming its spec; raises if anything does not pickle.
+
+        Everything is encoded *before any order is sent*, so an
+        unpicklable spec can never leave the pool half-dispatched into an
+        epoch, and the arena still holds the previous epoch when it
+        raises."""
+        arena_ref = pool.arena.store(specs)
+        order_msgs = []
+        for spec_index, spec in enumerate(specs):
+            for _copy in range(spec.width):
+                progress = CopyProgress() if pool.recovering else None
+                # the fault plan rides along so chaos config tracks the
+                # engine's current value each epoch instead of freezing
+                # at whatever the pool was forked with
+                order = ("epoch", epoch, arena_ref, spec_index, progress, self.faults)
+                order_msgs.append(
+                    pickle.dumps(order, protocol=pickle.HIGHEST_PROTOCOL)
+                )
+        return order_msgs
 
     def _begin_epoch(
         self,
         pool: _WorkerPool,
         specs: list[FilterSpec],
         epoch: int,
-        order_blobs: dict[int, bytes],
+        order_msgs: list[bytes],
     ) -> None:
         """Ship one epoch to an idle resident pool."""
         # refresh the spec slots so a mid-epoch respawn forks the current
@@ -498,7 +535,7 @@ class ProcessPipeline:
             edge.begin_epoch(epoch, reopen=True)
         pool.supervisor.begin_epoch(epoch)
         for wid, send_end in pool.orders.items():
-            send_end.send_bytes(order_blobs[wid])
+            send_end.send_bytes(order_msgs[wid])
 
     def _abort_reason(self) -> str | None:
         if self._close_evt.is_set():
@@ -537,6 +574,7 @@ class ProcessPipeline:
         self._parent_shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
 
     def _release_pool_ipc(self, pool: _WorkerPool) -> None:
+        pool.arena.close()
         for send_end in pool.orders.values():
             try:
                 send_end.close()

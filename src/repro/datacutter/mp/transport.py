@@ -276,10 +276,13 @@ def encode_payload(
             names.append(ref.name)
             return ref
         if isinstance(obj, (bytes, bytearray, memoryview)) and len(obj) >= min_bytes:
-            raw = bytes(obj)
-            seg = _park(len(raw))
-            seg.buf[: len(raw)] = raw
-            ref = ShmRef(name=seg.name, nbytes=len(raw), kind="bytes")
+            # straight into the segment: one copy (a strided view has to
+            # be gathered first, there is no flat buffer to copy from)
+            raw = memoryview(obj)
+            raw = raw.cast("B") if raw.c_contiguous else memoryview(bytes(raw))
+            seg = _park(raw.nbytes)
+            seg.buf[: raw.nbytes] = raw
+            ref = ShmRef(name=seg.name, nbytes=raw.nbytes, kind="bytes")
             _handoff(seg)
             names.append(ref.name)
             return ref

@@ -28,10 +28,12 @@ reports to the supervisor over the control queue:
 After a clean epoch a *resident* worker (``orders`` connection provided,
 ``resident=True``) blocks on its order channel for the next instruction:
 
-* ``("epoch", epoch, spec_or_None, progress_or_None, faults_or_None)`` —
-  run another unit of work; a non-``None`` spec rebinds the copy to
-  freshly shipped packets/params/width (values only — the generated
-  filter classes are already in the fork image, anchored by
+* ``("epoch", epoch, arena_ref, spec_index, progress_or_None,
+  faults_or_None)`` — run another unit of work: the copy rebinds to spec
+  ``spec_index`` of the list the parent encoded into the pool's
+  :class:`~repro.datacutter.mp.arena.EpochArena` (inherited through the
+  fork; packets arrive as views of a private copy-on-write mapping, the
+  generated filter classes are already in the fork image, anchored by
   :mod:`repro.codegen.generated_registry`), and the fault plan rides
   along so injected chaos tracks the engine's current configuration;
 * ``("exit",)`` — the poison pill: tear down the shared-memory pool and
@@ -81,6 +83,7 @@ from ..recovery.faults import FaultPlan, FaultSpec, make_injector
 from ..recovery.replay import CopyProgress, run_recoverable_copy
 from ..runtime import run_filter_copy
 from ..streams import RoundRobin
+from .arena import EpochArena
 from .channels import ProcessEdge
 from .transport import pool_stats, pool_teardown
 
@@ -128,6 +131,7 @@ def worker_main(
     orders: Any = None,
     epoch: int = 0,
     resident: bool = False,
+    arena: EpochArena | None = None,
 ) -> None:
     failed = False
     shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
@@ -139,12 +143,10 @@ def worker_main(
             )
             if failed or not resident or orders is None:
                 break
-            order = _next_order(orders, control, spec, copy_index, worker_id)
+            order = _next_order(orders, arena, control, spec, copy_index, worker_id)
             if order is None:
                 break
-            epoch, new_spec, progress, faults = order
-            if new_spec is not None:
-                spec = new_spec
+            epoch, spec, progress, faults = order
     finally:
         # the worker is exiting for good: unlink its pooled segments
         # (reuse counters were already shipped per epoch)
@@ -154,23 +156,33 @@ def worker_main(
 
 
 def _next_order(
-    orders: Any, control: Any, spec: FilterSpec, copy_index: int, worker_id: int
-) -> tuple[int, FilterSpec | None, CopyProgress | None, FaultPlan | None] | None:
+    orders: Any,
+    arena: EpochArena,
+    control: Any,
+    spec: FilterSpec,
+    copy_index: int,
+    worker_id: int,
+) -> tuple[int, FilterSpec, CopyProgress | None, FaultPlan | None] | None:
     """Block until the parent ships the next epoch; None means exit.
 
-    Orders arrive pre-pickled (the parent validates picklability for the
-    whole pool before dispatching any).  Should decoding still fail — a
-    spec referencing a class generated after this worker was forked that
-    slipped past the parent's registry check — the worker reports the
-    traceback and exits without ``done``; the supervisor then sees a
-    sentinel death and either respawns it (a fresh fork *does* have the
-    class in its image) or fails the run with this context attached."""
+    The parent encodes the whole epoch before it dispatches any order, so
+    decoding should not fail here.  Should it still — a spec referencing a
+    class generated after this worker was forked that slipped past the
+    parent's registry check, an arena that does not hold what the order
+    names — the worker reports the traceback and exits without ``done``;
+    the supervisor then sees a sentinel death and either respawns it (a
+    fresh fork *does* have the class, and the spec, in its image) or
+    fails the run with this context attached."""
     try:
         data = orders.recv_bytes()
     except (EOFError, OSError):
         return None  # parent is gone; nothing left to serve
     try:
         order = pickle.loads(data)
+        if order[0] == "exit":
+            return None
+        _, epoch, arena_ref, spec_index, progress, faults = order
+        return epoch, arena.load(arena_ref)[spec_index], progress, faults
     except Exception:  # noqa: BLE001 - reported to the supervisor
         label = f"{spec.name}#{copy_index}"
         try:
@@ -183,10 +195,6 @@ def _next_order(
         except Exception:  # pragma: no cover - control pipe gone
             pass
         return None
-    if order[0] == "exit":
-        return None
-    _, epoch, new_spec, progress, faults = order
-    return epoch, new_spec, progress, faults
 
 
 def _run_epoch(

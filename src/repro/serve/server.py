@@ -732,6 +732,12 @@ class PipelineServer:
         snapshot["queue_depth"] = len(self.queue)
         snapshot["engine"] = self.options.engine_options.engine
         snapshot["engine_runs"] = self.pool.session.runs
+        if deep:
+            # the process engine's last ``worker_pool`` note: forks,
+            # reforks and why, order/arena bytes of the last epoch
+            pool_note = self.metrics.trace.meta.get("engine.worker_pool")
+            if pool_note is not None:
+                snapshot["engine_pool"] = dict(pool_note)
         if self._listener is not None:
             snapshot["transport"]["listen"] = "%s:%s" % self._listener.address
         return snapshot

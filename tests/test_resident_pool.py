@@ -20,7 +20,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.apps import make_knn_service, make_vmscope_service
+from repro.apps import (
+    make_active_pixels_app,
+    make_knn_app,
+    make_knn_service,
+    make_vmscope_app,
+    make_vmscope_service,
+    make_zbuffer_app,
+)
+from repro.cost import cluster_config
 from repro.datacutter import (
     EngineOptions,
     FaultSpec,
@@ -33,6 +41,7 @@ from repro.datacutter import (
     run_pipeline,
 )
 from repro.datacutter.engine import EngineSession
+from repro.experiments.harness import _specs_for_version
 from repro.serve import LocalClient, PipelineServer, ServerOptions, oneshot
 from repro.serve.session import SessionPool
 
@@ -359,3 +368,153 @@ def test_serve_burst_heals_injected_mid_epoch_crash():
         ),
         12,
     )
+
+
+# ---------------------------------------------------------------------------
+# why a pool reforked, and what an epoch ships (counts, not times)
+# ---------------------------------------------------------------------------
+
+
+class ClosureSource(SourceFilter):
+    def generate(self, ctx):
+        yield ctx.params["fn"]()
+
+
+def _worker_pool_note(session, trace, specs):
+    session.run(specs)
+    return dict(trace.meta["worker_pool"])
+
+
+def test_refork_reason_is_recorded():
+    trace = Trace()
+    with EngineSession(proc_options(trace=trace)) as session:
+        note = _worker_pool_note(session, trace, pid_specs(width=1))
+        assert (note["reforks"], note["refork_reason"]) == (0, None)
+        note = _worker_pool_note(session, trace, pid_specs(width=2))
+        assert (note["reforks"], note["refork_reason"]) == (1, "shape")
+        # a lambda cannot cross the order pipe: the epoch travels in a
+        # fork image instead, and the note says why
+        closure = [
+            FilterSpec("src", ClosureSource, width=2, params={"fn": lambda: 7}),
+            FilterSpec("tag", PidTag, width=1),
+        ]
+        note = _worker_pool_note(session, trace, closure)
+        assert note["reforks"] == 2
+        assert note["refork_reason"].startswith("unpicklable: ")
+        assert (note["order_bytes"], note["arena_bytes"]) == (0, 0)
+        idle_worker = session._engine._pool.workers[0].process
+        idle_worker.kill()
+        idle_worker.join(timeout=10)
+        assert not idle_worker.is_alive()
+        note = _worker_pool_note(session, trace, pid_specs(width=2))
+        assert (note["reforks"], note["refork_reason"]) == (3, "dead-worker")
+        # and a clean epoch afterwards clears it
+        note = _worker_pool_note(session, trace, pid_specs(width=2))
+        assert (note["reforks"], note["refork_reason"]) == (3, None)
+    _no_orphans()
+
+
+def _spec_maker(app, workload):
+    """Compile once, now; the returned callable binds fresh specs (widths
+    [1, 2, 1]) per epoch.  Compiling up front matters: a pool forked
+    before a class was generated could not unpickle it."""
+    _, result = _specs_for_version(app, workload, "Decomp-Comp", cluster_config(1))
+    return lambda: result.pipeline.specs(
+        workload.packets, workload.params, [1, 2, 1]
+    )
+
+
+def _paper_apps():
+    """(name, make_specs, dataset nbytes) per paper app."""
+    bundles = [
+        (make_zbuffer_app(width=48, height=48), dict(dataset="tiny", num_packets=4)),
+        (
+            make_active_pixels_app(width=48, height=48),
+            dict(dataset="tiny", num_packets=4),
+        ),
+        (make_knn_app(k=5), dict(n_points=4000, num_packets=5)),
+        (
+            make_vmscope_app(image_w=256, image_h=256, tile=64),
+            dict(query="large", num_packets=4),
+        ),
+    ]
+    out = []
+    for app, kwargs in bundles:
+        workload = app.make_workload(**kwargs)
+        nbytes = sum(p.nbytes for p in workload.packets)
+        out.append((app.name, _spec_maker(app, workload), nbytes))
+    return out
+
+
+def test_paper_apps_never_refork_across_ten_epochs():
+    apps = _paper_apps()
+    trace = Trace()
+    with EngineSession(proc_options(trace=trace)) as session:
+        for _round in range(10):
+            for name, make_specs, _nbytes in apps:
+                note = _worker_pool_note(session, trace, make_specs())
+                assert note["refork_reason"] is None, (name, note)
+        assert session._engine._epoch == 40
+        assert session._engine._forks == 1
+        assert session._engine._reforks == 0
+    _no_orphans()
+
+
+def _knn_counts(n_packets: int, runs: int) -> list[tuple[int, int]]:
+    """(order_bytes, arena_bytes) of the first arena epoch of ``runs``
+    fresh sessions over one knn dataset."""
+    app = make_knn_app(k=5)
+    make_specs = _spec_maker(
+        app, app.make_workload(n_points=400 * n_packets, num_packets=n_packets)
+    )
+    counts = []
+    for _ in range(runs):
+        trace = Trace()
+        with EngineSession(proc_options(trace=trace)) as session:
+            for _epoch in (1, 2):
+                note = _worker_pool_note(session, trace, make_specs())
+            counts.append((note["order_bytes"], note["arena_bytes"]))
+    return counts
+
+
+def test_order_bytes_do_not_depend_on_the_dataset():
+    n_workers = 4  # widths [1, 2, 1]
+    (small_orders, small_arena), = _knn_counts(4, runs=1)
+    (large_orders, large_arena), = _knn_counts(64, runs=1)
+    assert small_orders == large_orders
+    assert 0 < small_orders <= 1024 * n_workers
+    assert large_arena > 10 * small_arena
+
+
+def test_arena_holds_the_dataset_once_and_counts_repeat_exactly():
+    apps = _paper_apps()
+    trace = Trace()
+    with EngineSession(proc_options(trace=trace)) as session:
+        session.run(apps[0][1]())  # the fork: nothing crosses by value
+        note = dict(trace.meta["worker_pool"])
+        assert (note["order_bytes"], note["arena_bytes"]) == (0, 0)
+        for name, make_specs, nbytes in apps:
+            if nbytes < 64 * 1024:
+                continue  # the iso apps' tiny dataset: headers dominate
+            note = _worker_pool_note(session, trace, make_specs())
+            # once, not once per worker
+            assert nbytes <= note["arena_bytes"] <= 1.05 * nbytes, name
+    counts = _knn_counts(8, runs=10)
+    assert len(set(counts)) == 1, counts
+    _no_orphans()
+
+
+def test_deep_stats_carry_the_worker_pool_note():
+    service = make_knn_service(**KNN_KW)
+    opts = ServerOptions(engine_options=proc_options())
+    with PipelineServer([service], opts) as server:
+        client = LocalClient(server, timeout=120.0)
+        for x in (0.2, 0.4):
+            assert client.call("knn", {"x": x, "y": x, "z": x}).ok
+        assert "engine_pool" not in client.stats()
+        pool_note = client.stats(deep=True)["engine_pool"]
+    assert pool_note["resident"] is True
+    assert pool_note["reforks"] == 0 and pool_note["refork_reason"] is None
+    assert 0 < pool_note["order_bytes"] <= 1024 * 4
+    assert pool_note["arena_bytes"] > 0
+    _no_orphans()
