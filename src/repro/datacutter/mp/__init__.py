@@ -7,25 +7,18 @@ The multiprocess counterpart of the threaded local engine: same
 :mod:`repro.datacutter.mp.engine` for the architecture overview.
 """
 
-from .channels import ProcessEdge
+from .channels import EndOfStream, ProcessEdge
 from .engine import ProcessPipeline
 from .supervisor import Supervisor, WorkerHandle
-from .transport import (
-    DEFAULT_SHM_MIN_BYTES,
-    EndOfStream,
-    ShmRef,
-    decode_payload,
-    encode_payload,
-)
+from .transport import DEFAULT_SHM_MIN_BYTES, EdgeSegments, ShmRef
 
 __all__ = [
     "DEFAULT_SHM_MIN_BYTES",
+    "EdgeSegments",
     "EndOfStream",
     "ProcessEdge",
     "ProcessPipeline",
     "ShmRef",
     "Supervisor",
     "WorkerHandle",
-    "decode_payload",
-    "encode_payload",
 ]

@@ -5,10 +5,11 @@ Runs the same :class:`~repro.datacutter.filters.FilterSpec` pipelines as
 *process* per filter copy, so CPU-bound filters genuinely overlap instead
 of serializing behind the GIL.  The moving parts:
 
-* :mod:`~repro.datacutter.mp.transport` — shared-memory transport for
-  large NumPy/bytes payloads, pickle for the rest;
-* :mod:`~repro.datacutter.mp.channels` — bounded inter-stage queues with
-  backpressure and the epoch-tagged end-of-stream protocol;
+* :mod:`~repro.datacutter.mp.transport` — per-edge shared-memory
+  segments for large NumPy/bytes leaves, pickle for the rest;
+* :mod:`~repro.datacutter.mp.channels` — credit-windowed pipe frames
+  between stages (backpressure, coalescing) and the epoch-tagged
+  end-of-stream protocol;
 * :mod:`~repro.datacutter.mp.worker` — the resident per-copy worker loop;
 * :mod:`~repro.datacutter.mp.supervisor` — sentinel/heartbeat liveness
   watching, crash recovery, and clean teardown.
@@ -42,9 +43,9 @@ read the fork image, the arena dies with its pool).  The epoch id
 correlates every end-of-stream sentinel and ``done`` handshake so a
 straggler from epoch N cannot pollute epoch N+1.  The supervisor stays up
 across epochs — heartbeats, crash respawn, and checkpoint replay all work
-mid-epoch on a resident worker — and each worker's :class:`ShmPool`
-segments persist and are reused across epochs, with per-epoch reuse
-counters reported into the trace.  The pool *reforks* transparently
+mid-epoch on a resident worker — and each edge's shared-memory segments
+stay mapped and are reused across epochs, with per-epoch reuse counters
+reported into the trace.  The pool *reforks* transparently
 whenever an epoch cannot be shipped by value — a different pipeline shape
 (``shape``), a filter class generated after the pool was forked
 (``registry``), a worker that died while idle (``dead-worker``), or spec
@@ -54,8 +55,8 @@ bytes that crossed the order pipes (``order_bytes``) and the bytes
 encoded into the arena (``arena_bytes``).  Without ``retain()`` each
 ``run()`` forks and joins its own pool — byte-identical behaviour to the
 historical fork-per-run engine — and :meth:`close` performs the single
-real teardown of a resident pool (poison-pill orders, join, arena and
-shared-memory teardown).
+real teardown of a resident pool (poison-pill orders, join, then the
+arena, the pipes and every edge segment, all released by the parent).
 
 Results, stream statistics, error semantics, and observability mirror the
 threaded engine: ``run()`` returns the same :class:`RunResult` shape, a
@@ -85,14 +86,11 @@ from ..runtime import PipelineError, RunResult
 from .arena import EpochArena
 from .channels import ProcessEdge
 from .supervisor import Supervisor, WorkerHandle
-from .transport import DEFAULT_SHM_MIN_BYTES, pool_stats, pool_teardown
+from .transport import DEFAULT_SHM_MIN_BYTES
 from .worker import worker_main
 
 #: the poison pill shipped to resident workers at teardown
 _EXIT_ORDER = pickle.dumps(("exit",))
-
-#: shm-pool counters reported as per-run deltas from the parent process
-_SHM_COUNTERS = ("hits", "misses", "released", "evicted")
 
 
 def _generated_registry() -> Any:
@@ -180,9 +178,6 @@ class ProcessPipeline:
         self._closed = False
         self._close_evt = threading.Event()
         self._run_lock = threading.Lock()
-        #: parent-process shm-pool counters at the end of the last run
-        #: (the parent decodes collector buffers, so it pools segments too)
-        self._parent_shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
 
     # ------------------------------------------------------------ lifecycle
     def retain(self) -> None:
@@ -213,10 +208,7 @@ class ProcessPipeline:
         self._close_evt.set()
         with self._run_lock:
             self._closed = True
-            try:
-                self._shutdown_pool()
-            finally:
-                pool_teardown()
+            self._shutdown_pool()
 
     def __enter__(self) -> "ProcessPipeline":
         return self
@@ -289,22 +281,20 @@ class ProcessPipeline:
             result.stream_buffers[edge.name] = agg.buffers if agg else 0
             result.stream_by_packet[edge.name] = dict(agg.by_packet) if agg else {}
 
-        shm_pool = dict(supervisor.shm_pool)
-        if self._resident:
-            # the pool survives: report the parent's reuse as a delta so
-            # per-run numbers stay additive across epochs
-            parent_now = pool_stats()
-            parent_stats = {
-                k: parent_now[k] - self._parent_shm_base[k]
-                for k in _SHM_COUNTERS
-            }
-            parent_stats["pooled_bytes"] = parent_now["pooled_bytes"]
-            self._parent_shm_base = {k: parent_now[k] for k in _SHM_COUNTERS}
-        else:
+        # the workers' counters plus the parent's own, as the collector's
+        # consumer; every edge resets them when its epoch begins
+        counters = dict(supervisor.counters)
+        for key, value in pool.collector.counters().items():
+            counters[key] = counters.get(key, 0) + value
+        frames = counters.pop("frames", 0)
+        census = [edge.segments.census() for edge in pool.all_edges]
+        shm_pool = {
+            **counters,
+            "segments": sum(n for n, _ in census),
+            "pooled_bytes": sum(nbytes for _, nbytes in census),
+        }
+        if not self._resident:
             self._shutdown_pool()
-            parent_stats = pool_teardown()
-        for key, value in parent_stats.items():
-            shm_pool[key] = shm_pool.get(key, 0) + value
         if self.trace is not None:
             if any(shm_pool.values()):
                 self.trace.note(shm_pool=shm_pool)
@@ -321,6 +311,9 @@ class ProcessPipeline:
                     # a fork image instead
                     "order_bytes": sum(map(len, order_msgs)),
                     "arena_bytes": pool.arena.nbytes if order_msgs else 0,
+                    # pipe frames written this epoch; fewer than buffers
+                    # when busy consumers let producers coalesce
+                    "frames": frames,
                 }
             )
         return result
@@ -352,7 +345,7 @@ class ProcessPipeline:
         )
         all_edges = edges + [collector]
         for edge in all_edges:
-            edge.begin_epoch(epoch, reopen=True)
+            edge.begin_epoch(epoch)
 
         n_workers = sum(spec.width for spec in specs)
         heartbeats = mpctx.Array("d", n_workers, lock=False)
@@ -385,7 +378,6 @@ class ProcessPipeline:
             workers,
             control,
             collector,
-            all_edges,
             heartbeats,
             timeout=self.timeout,
             death_grace=self.death_grace,
@@ -529,10 +521,10 @@ class ProcessPipeline:
             for _copy in range(spec.width):
                 pool.spawn_args[worker_id][0] = spec
                 worker_id += 1
-        # reset parent-side edge state (and the shared producer-open
-        # counts) *before* any worker can race ahead into the new epoch
+        # reset parent-side edge state *before* any worker can race ahead
+        # into the new epoch
         for edge in pool.all_edges:
-            edge.begin_epoch(epoch, reopen=True)
+            edge.begin_epoch(epoch)
         pool.supervisor.begin_epoch(epoch)
         for wid, send_end in pool.orders.items():
             send_end.send_bytes(order_msgs[wid])
@@ -563,17 +555,18 @@ class ProcessPipeline:
                 w.process.terminate()
                 w.process.join(timeout=2)
         self._release_pool_ipc(pool)
-        self._parent_shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
 
     def _dispose_failed_pool(self, pool: _WorkerPool) -> None:
         """Drop a pool whose epoch failed (workers already torn down)."""
         if self._pool is pool:
             self._pool = None
         self._release_pool_ipc(pool)
-        pool_teardown()
-        self._parent_shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
 
     def _release_pool_ipc(self, pool: _WorkerPool) -> None:
+        """Close the pool's descriptors and unlink every edge segment.
+
+        Runs only once no worker of the pool is left, so no frame can still
+        name a segment: this is the one place a segment is unlinked."""
         pool.arena.close()
         for send_end in pool.orders.values():
             try:
@@ -586,7 +579,7 @@ class ProcessPipeline:
             except OSError:  # pragma: no cover - already closed
                 pass
         for edge in pool.all_edges:
-            edge.reclaim()
+            edge.close()
         # drain and release the control queue's feeder resources
         while True:
             try:

@@ -4,10 +4,12 @@ The supervisor runs in the parent process alongside the workers.  Its
 loop interleaves five duties until the run completes or fails:
 
 1. drain the collector edge (the run's outputs must be consumed
-   continuously — the collector is unbounded, but leaving results in the
-   pipe would hold worker feeder threads alive);
+   continuously — the collector is unbounded, but a full pipe would block
+   the sink copies writing to it, and their shared-memory segments only
+   come back once the parent has copied the data out);
 2. drain the control queue: error reports, per-stream statistics,
-   recovery progress (in-flight packets, checkpointed acks), and
+   transport counters, recovery progress (in-flight packets, checkpointed
+   acks, buffers a failed copy received but never processed), and
    ``done`` handshakes;
 3. watch process sentinels: a worker that exits without having sent
    ``done`` was killed or crashed hard (segfault, ``os._exit``) — after a
@@ -24,10 +26,11 @@ loop interleaves five duties until the run completes or fails:
    of the last progress — a live worker that never reports cannot spin
    the loop forever, it fails the run with a stalest-heartbeat diagnostic.
 
-On failure the supervisor terminates every surviving worker, reclaims
-undelivered shared-memory segments from all edges, and raises
+On failure the supervisor terminates every surviving worker and raises
 :class:`~repro.datacutter.runtime.PipelineError` carrying the failing
 filter's traceback (or kill diagnosis) — no hang, no orphan processes.
+The edges' shared-memory segments are unlinked by the engine when it
+releases the failed pool.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from ..recovery.faults import FaultPlan
 from ..recovery.policy import RetryPolicy
 from ..recovery.replay import CopyProgress
 from ..runtime import PipelineError
-from .channels import ProcessEdge
-from .transport import EndOfStream
+from .channels import EndOfStream, ProcessEdge
 
 
 @dataclass(slots=True)
@@ -87,7 +89,6 @@ class Supervisor:
         workers: list[WorkerHandle],
         control: Any,
         collector: ProcessEdge,
-        edges: list[ProcessEdge],
         heartbeats: Any,
         timeout: float | None = None,
         death_grace: float = 2.0,
@@ -100,7 +101,6 @@ class Supervisor:
         self.workers = workers
         self.control = control
         self.collector = collector
-        self.edges = edges
         self.heartbeats = heartbeats
         self.timeout = timeout
         self.death_grace = death_grace
@@ -121,8 +121,8 @@ class Supervisor:
         self.abort: Callable[[], str | None] | None = None
         self.errors: list[str] = []
         self.stats: dict[str, StreamStats] = {}
-        #: shared-memory pool counters summed over all worker processes
-        self.shm_pool: dict[str, int] = {}
+        #: transport counters (segment reuse, frames) summed over workers
+        self.counters: dict[str, int] = {}
         self.restarts: int = 0
         self._done: set[int] = set()
         self._by_id = {w.worker_id: w for w in workers}
@@ -146,7 +146,7 @@ class Supervisor:
 
         The supervisor object itself stays up for the life of a resident
         worker pool; everything scoped to one run — errors, done
-        handshakes, stream statistics, shm-pool deltas, pending-death
+        handshakes, stream statistics, transport counters, pending-death
         grace timers, recovery progress — restarts here.  Heartbeats are
         stamped to *now* because resident workers do not beat while idle
         between epochs, and a stale stamp would trip timeout diagnostics
@@ -154,7 +154,7 @@ class Supervisor:
         self.epoch = epoch
         self.errors = []
         self.stats = {}
-        self.shm_pool = {}
+        self.counters = {}
         self._done = set()
         self._pending_dead = {}
         if self._recovering:
@@ -279,10 +279,10 @@ class Supervisor:
                 agg.bytes += nbytes
                 for packet, size in by_packet.items():
                     agg.by_packet[packet] = agg.by_packet.get(packet, 0) + size
-            elif kind == "shmpool":
-                _, _wid, pool_stats = msg
-                for key, value in pool_stats.items():
-                    self.shm_pool[key] = self.shm_pool.get(key, 0) + value
+            elif kind == "counters":
+                _, _wid, counters = msg
+                for key, value in counters.items():
+                    self.counters[key] = self.counters.get(key, 0) + value
             elif kind == "trace":
                 # worker-side event buffer: replay into the caller's
                 # collector so process traces merge like threaded ones
@@ -330,6 +330,14 @@ class Supervisor:
             elif kind == "eos":
                 _, wid = msg
                 self._recovery[wid].eos_seen = True
+            elif kind == "spill":
+                # received by the failed attempt but never processed: they
+                # replay right after the packet it failed on
+                _, wid, bufs = msg
+                rec = self._recovery[wid]
+                for buf in bufs:
+                    rec.inflight[rec.next_seq] = buf
+                    rec.next_seq += 1
 
     def _maybe_restart(self, wid: int, reason: str) -> bool:
         """Respawn a failed copy within budget; record the final error
@@ -421,7 +429,7 @@ class Supervisor:
         )
 
     def _teardown(self) -> None:
-        """Terminate survivors and reclaim in-flight shared memory."""
+        """Terminate survivors (the engine unlinks the edges' segments)."""
         alive = [w for w in self.workers if w.process is not None]
         for w in alive:
             if w.process.is_alive():
@@ -432,6 +440,4 @@ class Supervisor:
             if w.process.is_alive():  # pragma: no cover - SIGTERM ignored
                 w.process.kill()
                 w.process.join(timeout=2)
-        for edge in self.edges:
-            edge.reclaim()
         self._drain_control()

@@ -1,75 +1,77 @@
-"""Shared-memory buffer transport for the process engine.
+"""Large payload leaves across a process hop: segments owned by the edge.
 
-Stream buffers crossing a process boundary are pickled through a
-``multiprocessing.Queue``.  Pickling a multi-megabyte NumPy payload copies
-it twice (serialize + deserialize) through a pipe with a small kernel
-buffer; for those payloads we instead park the bytes in a
-:class:`multiprocessing.shared_memory.SharedMemory` segment and send only
-a small :class:`ShmRef` descriptor.  The consumer attaches, copies the
-data out, closes, and unlinks the segment, so every segment lives exactly
-as long as one buffer is in flight.
+A buffer crossing a process boundary travels inside a pickled frame (see
+:mod:`repro.datacutter.mp.channels`).  Pickling a multi-megabyte NumPy
+payload would push it through a pipe with a 64 KiB kernel buffer, so leaves
+at or above ``DEFAULT_SHM_MIN_BYTES`` — contiguous ``ndarray`` without
+object dtype, ``bytes`` / ``bytearray`` / ``memoryview`` — are instead
+copied into a POSIX shared-memory segment and replaced in the frame by a
+small :class:`ShmRef`.  Smaller or irregular leaves stay in the pickle.
 
-Small or irregular payloads (scalars, strings, objects, arrays below
-``DEFAULT_SHM_MIN_BYTES``) take the plain pickle path — for them the
-descriptor bookkeeping would cost more than it saves.
+The segments belong to the *edge*, not to a process (:class:`EdgeSegments`):
 
-The encoder walks the payload tree (dict / list / tuple containers) and
-replaces eligible leaves — contiguous ``ndarray`` without object dtype,
-``bytes``/``bytearray``/``memoryview`` — with descriptors; the decoder
-inverts the walk.  Teardown after a failed run uses
-:func:`collect_shm_refs` / :func:`unlink_ref` to reclaim segments whose
-consumer died before draining them.
+* **A fixed set per producer copy.**  Producer copy ``p`` owns slots
+  ``p * 8 .. p * 8 + 7`` (:data:`SEGMENTS_PER_PRODUCER`).  That bound is
+  what keeps resident memory flat: a producer that finds every one of its
+  segments in flight waits for one to come back instead of creating more.
+  A slot's size and its *busy* flag live in arrays shared by every process
+  of the pool, so a producer restarted mid-epoch sees exactly which of its
+  predecessor's segments are still in flight.
+* **Mapped once on each side.**  Names are deterministic
+  (``psm_<edge token>_<slot>``); the producer creates a segment on first
+  use and the consumer maps it on first sight, and both keep the mapping.
+  A steady-state hop is one copy in, one copy out and a few bytes of
+  frame: no ``shm_open``, ``ftruncate``, ``mmap`` or ``munmap``, and no
+  ``resource_tracker`` message ever (the segments are never registered).
+* **Handed back, not unlinked.**  The consumer copies a leaf out and
+  clears the slot's busy flag; the producer's next leaf reuses it.  The
+  first leaf a producer cannot place sizes all of its free slots to it, so
+  a warm edge never creates another segment; a later, larger leaf regrows
+  free slots that are too small (``evicted``).
+* **The owner unlinks.**  The process that built the edge — the engine's
+  parent — unlinks every slot in :meth:`EdgeSegments.close`, called when it
+  releases the pool's IPC: after a clean close, a failed epoch, a refork,
+  and after each fork-per-run pool (an engine never closed is swept at
+  interpreter exit).  Workers never unlink, so no segment can vanish
+  while a frame still names it.  A slot's size is recorded before its
+  segment is created, so a crash between the two leaves nothing the owner
+  does not know about.
 
-Segments are recycled through a per-process :class:`ShmPool`: creating a
-segment is a syscall pair (``shm_open`` + ``ftruncate`` + ``mmap``) paid
-per packet per link, so instead of unlinking after the copy-out the
-consumer parks the attached segment on a bounded free list keyed by
-power-of-two size class, and the next ``encode_payload`` in that process
-pops it instead of creating a fresh one.  Segments migrate with the data:
-a middle-stage worker consumes from upstream and reuses the very segments
-it just drained for its own output.  The pool is torn down (close +
-unlink) when a worker exits or the engine finishes; hit/miss counts ride
-the control queue and land in the run trace under ``shm_pool``.
+Counters (``hits``, ``misses``, ``released``, ``evicted``) are per process
+and per edge; the engine sums them into the ``shm_pool`` trace note.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import threading
+import secrets
+import weakref
 from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any
+from typing import Any, Callable
 
+import _posixshmem
 import numpy as np
 
 #: payload leaves at or above this size ride shared memory (configurable
 #: per pipeline via ``ProcessPipeline(shm_min_bytes=...)``)
 DEFAULT_SHM_MIN_BYTES = 64 * 1024
 
+#: segments each producer copy of an edge may own
+SEGMENTS_PER_PRODUCER = 8
 
-class EndOfStream:
-    """Queue sentinel: every producer copy of the stream has closed.
-
-    Carries the *work epoch* it was sent in: with a resident worker pool
-    (see :mod:`repro.datacutter.mp.engine`) the same queues host many
-    units of work back to back, and a consumer must never let a straggler
-    sentinel from epoch N satisfy the end-of-stream count of epoch N+1.
-    """
-
-    __slots__ = ("epoch",)
-
-    def __init__(self, epoch: int = 0) -> None:
-        self.epoch = epoch
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"EndOfStream(epoch={self.epoch})"
+#: smallest segment created (a page; sizes round up to a power of two)
+_MIN_SEGMENT = 4096
 
 
 @dataclass(slots=True)
 class ShmRef:
-    """Descriptor of one payload leaf parked in a shared-memory segment."""
+    """Stands in a frame for one payload leaf parked in an edge segment."""
 
-    name: str
+    slot: int
+    #: size of the segment when the leaf was written: a consumer holding a
+    #: mapping of another size remaps (the slot was regrown since)
+    size: int
     nbytes: int
     kind: str  # "ndarray" | "bytes"
     #: np.lib.format descr (handles structured dtypes); None for bytes
@@ -77,289 +79,212 @@ class ShmRef:
     shape: tuple = field(default_factory=tuple)
 
 
-class ShmPool:
-    """Bounded per-process free list of shared-memory segments.
+def segment_size(nbytes: int) -> int:
+    """Segment size for a leaf of ``nbytes``: a power of two, at least a
+    page, so slightly larger leaves later still fit."""
+    size = _MIN_SEGMENT
+    while size < nbytes:
+        size <<= 1
+    return size
 
-    Keyed by power-of-two size class (min :data:`MIN_CLASS` bytes): an
-    ``acquire`` pops any pooled segment of the right class (hit) or
-    creates one sized to the class (miss); a ``release`` parks a
-    still-attached segment for reuse, or refuses when the class list or
-    the total byte budget is full (the caller then unlinks as before).
-    Pooled segments stay open and resource-tracker-registered, so one
-    ownership claim survives exactly as for an in-flight buffer; a
-    :meth:`teardown` closes and unlinks everything.
 
-    Thread safety: acquire/release/stats/teardown hold an internal
-    ``threading.Lock`` — negligible next to the shm syscalls it protects —
-    so encode/decode on two threads of one process, or a teardown on the
-    engine's interrupt path racing a concurrent release, cannot pop from
-    an emptied free list, misaccount the byte budget, or leak a segment.
+def _unlink(name: str) -> None:
+    try:
+        _posixshmem.shm_unlink(name)
+    except FileNotFoundError:
+        pass
 
-    Fork safety: workers are forked mid-run, so a child may inherit its
-    parent's pool dict.  Every operation checks the pid and drops
-    inherited entries (closing only this process's mappings — the parent
-    still owns the segments and will unlink them at its own teardown).
-    """
 
-    MIN_CLASS = 4096
+def _unlink_slots(prefix: str, sizes: Any, owner: int) -> None:
+    # also the interpreter-exit finalizer: forked children inherit it and
+    # must never unlink what the owner's pool may still be using
+    if os.getpid() != owner:
+        return
+    for slot, size in enumerate(sizes):
+        if size:
+            _unlink(f"{prefix}{slot}")
+            sizes[slot] = 0
 
-    def __init__(
-        self,
-        max_per_class: int = 8,
-        max_total_bytes: int = 256 * 1024 * 1024,
-    ) -> None:
-        self._classes: dict[int, list[shared_memory.SharedMemory]] = {}
-        self._total = 0
-        self._pid = os.getpid()
-        self._lock = threading.Lock()
-        self.max_per_class = max_per_class
-        self.max_total_bytes = max_total_bytes
-        self.hits = 0
-        self.misses = 0
-        self.released = 0
-        self.evicted = 0
 
-    @staticmethod
-    def size_class(nbytes: int) -> int:
-        cls = ShmPool.MIN_CLASS
-        while cls < nbytes:
-            cls <<= 1
-        return cls
+class EdgeSegments:
+    """The shared-memory segments of one edge, :data:`SEGMENTS_PER_PRODUCER`
+    per producer copy.  Built in the parent before the fork."""
 
-    def _locked(self) -> threading.Lock:
-        # a forked child inherits the parent's lock in whatever state it
-        # held at fork time; the child is single-threaded here, so swap
-        # in a fresh lock before acquiring (the pid-keyed cleanup of the
-        # inherited entries happens under it, in _fork_guard)
-        if os.getpid() != self._pid:
-            self._lock = threading.Lock()
-        return self._lock
-
-    def _fork_guard(self) -> None:
-        if os.getpid() == self._pid:
-            return
-        # forked child: the parent owns these segments; unmap our
-        # inherited views, never unlink, and start with a clean pool
-        for segs in self._classes.values():
-            for seg in segs:
-                try:
-                    seg.close()
-                except Exception:  # pragma: no cover - stale mapping
-                    pass
-        self._classes = {}
-        self._total = 0
-        self._pid = os.getpid()
+    def __init__(self, mpctx: Any, n_producers: int) -> None:
+        n_slots = n_producers * SEGMENTS_PER_PRODUCER
+        self.prefix = f"/psm_{secrets.token_hex(4)}_"
+        #: slot -> segment size; 0 = never created
+        self._sizes = mpctx.RawArray("q", n_slots)
+        #: slot -> 1 while a frame naming it is in flight
+        self._busy = mpctx.RawArray("b", n_slots)
+        #: this process's mappings, slot -> mmap
+        self._maps: dict[int, mmap.mmap] = {}
         self.hits = self.misses = self.released = self.evicted = 0
+        self._finalizer = weakref.finalize(
+            self, _unlink_slots, self.prefix, self._sizes, os.getpid()
+        )
 
-    def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
-        cls = self.size_class(max(nbytes, 1))
-        with self._locked():
-            self._fork_guard()
-            segs = self._classes.get(cls)
-            if segs:
-                self.hits += 1
-                self._total -= cls
-                return segs.pop()
-            self.misses += 1
-        # create outside the lock: the syscall pair is the slow path
-        return shared_memory.SharedMemory(create=True, size=cls)
+    # -- producer side -------------------------------------------------------
+    def acquire(self, producer: int, nbytes: int) -> int | None:
+        """A free slot of ``producer`` that holds ``nbytes``, marked busy;
+        None when all of them are in flight."""
+        sizes, busy = self._sizes, self._busy
+        base = producer * SEGMENTS_PER_PRODUCER
+        best = None
+        short = []
+        for slot in range(base, base + SEGMENTS_PER_PRODUCER):
+            if busy[slot]:
+                continue
+            size = sizes[slot]
+            if size < nbytes:
+                short.append(slot)
+            elif best is None or size < sizes[best]:
+                best = slot
+        if best is not None:
+            self.hits += 1
+        elif short:
+            # size every free slot that is too small to this leaf at once:
+            # the edge warms up in one step instead of one slot per epoch
+            size = segment_size(nbytes)
+            for slot in short:
+                self._create(slot, size)
+            best = short[0]
+        else:
+            return None
+        busy[best] = 1
+        return best
 
-    def release(self, seg: shared_memory.SharedMemory) -> bool:
-        """Park an attached segment for reuse; False = caller unlinks."""
-        with self._locked():
-            self._fork_guard()
-            cls = seg.size
-            if cls < self.MIN_CLASS or cls & (cls - 1):
-                return False  # pre-pool segment of arbitrary size: don't keep
-            segs = self._classes.setdefault(cls, [])
-            if (
-                len(segs) >= self.max_per_class
-                or self._total + cls > self.max_total_bytes
-            ):
-                self.evicted += 1
-                return False
-            segs.append(seg)
-            self._total += cls
+    def _create(self, slot: int, size: int) -> None:
+        if self._sizes[slot]:
+            _unlink(f"{self.prefix}{slot}")
+            self.evicted += 1
+        # recorded first: the owner unlinks every slot with a size
+        self._sizes[slot] = size
+        self._map(slot, size, create=True)
+        self.misses += 1
+
+    def _map(self, slot: int, size: int, create: bool = False) -> mmap.mmap:
+        """This process's mapping of ``slot``, (re)mapped when missing or
+        of another size (the slot was regrown since)."""
+        seg = self._maps.get(slot)
+        if seg is None or len(seg) != size:
+            if seg is not None:
+                seg.close()
+            # producers create: a restarted one may find a slot whose size
+            # its predecessor recorded but whose segment it never created
+            flags = os.O_RDWR | (os.O_CREAT if create else 0)
+            fd = _posixshmem.shm_open(f"{self.prefix}{slot}", flags, mode=0o600)
+            try:
+                if os.fstat(fd).st_size < size:
+                    os.ftruncate(fd, size)
+                seg = mmap.mmap(fd, size)
+            finally:
+                os.close(fd)
+            self._maps[slot] = seg
+        return seg
+
+    def _park(self, producer: int, nbytes: int, wait: Callable[[], bool]) -> int | None:
+        nbytes = max(nbytes, 1)
+        while True:
+            slot = self.acquire(producer, nbytes)
+            if slot is not None:
+                return slot
+            if not wait():
+                # nothing in flight any more — but a consumer may have
+                # handed a segment back since the first look
+                return self.acquire(producer, nbytes)
+
+    def encode(
+        self,
+        obj: Any,
+        producer: int,
+        min_bytes: int,
+        wait: Callable[[], bool],
+    ) -> Any:
+        """Copy the large leaves of payload ``obj`` into ``producer``'s
+        segments, replacing each with a :class:`ShmRef`.
+
+        ``wait`` is called when every segment of the producer is in
+        flight: it blocks until one may have come back (True) or reports
+        that none is in flight any more (False); a leaf that still finds
+        no free segment then stays in the pickle."""
+        if isinstance(obj, np.ndarray) and obj.nbytes >= min_bytes and not obj.dtype.hasobject:
+            slot = self._park(producer, obj.nbytes, wait)
+            if slot is None:
+                return obj
+            size = self._sizes[slot]
+            dst = np.ndarray(obj.shape, obj.dtype, buffer=self._map(slot, size, create=True))
+            dst[...] = obj
+            del dst
+            return ShmRef(
+                slot,
+                size,
+                obj.nbytes,
+                "ndarray",
+                np.lib.format.dtype_to_descr(obj.dtype),
+                tuple(obj.shape),
+            )
+        if isinstance(obj, (bytes, bytearray, memoryview)) and len(obj) >= min_bytes:
+            # straight into the segment: one copy (a strided view has to be
+            # gathered first, there is no flat buffer to copy from)
+            raw = memoryview(obj)
+            raw = raw.cast("B") if raw.c_contiguous else memoryview(bytes(raw))
+            slot = self._park(producer, raw.nbytes, wait)
+            if slot is None:
+                return obj
+            size = self._sizes[slot]
+            self._map(slot, size, create=True)[: raw.nbytes] = raw
+            return ShmRef(slot, size, raw.nbytes, "bytes")
+        if isinstance(obj, dict):
+            return {k: self.encode(v, producer, min_bytes, wait) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [self.encode(v, producer, min_bytes, wait) for v in obj]
+        if isinstance(obj, tuple):
+            return tuple(self.encode(v, producer, min_bytes, wait) for v in obj)
+        return obj
+
+    # -- consumer side -------------------------------------------------------
+    def decode(self, obj: Any) -> Any:
+        """Inverse of :meth:`encode`: copy each leaf out of its segment and
+        hand the segment back to its producer."""
+        if isinstance(obj, ShmRef):
+            seg = self._map(obj.slot, obj.size)
+            if obj.kind == "ndarray":
+                dtype = np.lib.format.descr_to_dtype(obj.dtype_descr)
+                value: Any = np.ndarray(obj.shape, dtype, buffer=seg).copy()
+            else:
+                value = seg[: obj.nbytes]
+            self._busy[obj.slot] = 0
             self.released += 1
-            return True
+            return value
+        if isinstance(obj, dict):
+            return {k: self.decode(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [self.decode(v) for v in obj]
+        if isinstance(obj, tuple):
+            return tuple(self.decode(v) for v in obj)
+        return obj
 
-    def _stats(self) -> dict[str, int]:
+    # -- accounting and teardown ---------------------------------------------
+    def counters(self) -> dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
             "released": self.released,
             "evicted": self.evicted,
-            "pooled_bytes": self._total,
         }
 
-    def stats(self) -> dict[str, int]:
-        with self._locked():
-            return self._stats()
+    def reset_counters(self) -> None:
+        self.hits = self.misses = self.released = self.evicted = 0
 
-    def teardown(self) -> dict[str, int]:
-        """Unlink every pooled segment; returns the final stats."""
-        with self._locked():
-            self._fork_guard()
-            stats = self._stats()
-            classes = self._classes
-            self._classes = {}
-            self._total = 0
-        # the segments are now owned by this call alone; unlink them
-        # outside the lock so a concurrent acquire is not held up
-        for segs in classes.values():
-            for seg in segs:
-                seg.close()
-                try:
-                    seg.unlink()
-                except FileNotFoundError:  # pragma: no cover - racing cleanup
-                    pass
-        return stats
+    def census(self) -> tuple[int, int]:
+        """(segments, bytes) alive on this edge right now."""
+        sizes = [size for size in self._sizes if size]
+        return len(sizes), sum(sizes)
 
-
-#: the process-wide pool (one per OS process; fork-guarded internally)
-_POOL = ShmPool()
-
-
-def pool_stats() -> dict[str, int]:
-    return _POOL.stats()
-
-
-def pool_teardown() -> dict[str, int]:
-    return _POOL.teardown()
-
-
-def _park(raw_nbytes: int) -> shared_memory.SharedMemory:
-    # zero-size segments are rejected by the OS; never parked anyway
-    return _POOL.acquire(max(raw_nbytes, 1))
-
-
-def _handoff(seg: shared_memory.SharedMemory) -> None:
-    """Close the producer's mapping and drop its resource-tracker claim.
-
-    CPython registers a segment with the resource tracker on *attach* as
-    well as on create (bpo-39959).  Ownership of an in-flight segment
-    transfers producer -> consumer, so exactly one claim — the consumer's,
-    made when it attaches — should survive; without this unregister the
-    tracker warns about (already-unlinked) leaked segments at shutdown."""
-    seg.close()
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker gone at shutdown
-        pass
-
-
-def encode_payload(
-    payload: Any, min_bytes: int = DEFAULT_SHM_MIN_BYTES
-) -> tuple[Any, list[str]]:
-    """Replace large leaves with :class:`ShmRef`; returns (tree, segment
-    names created) so a failed ``put`` can reclaim the segments."""
-    names: list[str] = []
-
-    def walk(obj: Any) -> Any:
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.nbytes >= min_bytes
-            and not obj.dtype.hasobject
-        ):
-            arr = np.ascontiguousarray(obj)
-            seg = _park(arr.nbytes)
-            dst = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-            dst[...] = arr
-            ref = ShmRef(
-                name=seg.name,
-                nbytes=arr.nbytes,
-                kind="ndarray",
-                dtype_descr=np.lib.format.dtype_to_descr(arr.dtype),
-                shape=tuple(arr.shape),
-            )
-            _handoff(seg)  # the segment persists until the consumer unlinks
-            names.append(ref.name)
-            return ref
-        if isinstance(obj, (bytes, bytearray, memoryview)) and len(obj) >= min_bytes:
-            # straight into the segment: one copy (a strided view has to
-            # be gathered first, there is no flat buffer to copy from)
-            raw = memoryview(obj)
-            raw = raw.cast("B") if raw.c_contiguous else memoryview(bytes(raw))
-            seg = _park(raw.nbytes)
-            seg.buf[: raw.nbytes] = raw
-            ref = ShmRef(name=seg.name, nbytes=raw.nbytes, kind="bytes")
-            _handoff(seg)
-            names.append(ref.name)
-            return ref
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [walk(v) for v in obj]
-        if isinstance(obj, tuple):
-            return tuple(walk(v) for v in obj)
-        return obj
-
-    return walk(payload), names
-
-
-def decode_payload(payload: Any) -> Any:
-    """Inverse of :func:`encode_payload`; consumes the in-flight buffer.
-    After the copy-out the segment is parked on this process's
-    :class:`ShmPool` for the next encode to reuse (unlinked only when the
-    pool is full)."""
-
-    def walk(obj: Any) -> Any:
-        if isinstance(obj, ShmRef):
-            seg = shared_memory.SharedMemory(name=obj.name)
-            pooled = False
-            try:
-                if obj.kind == "ndarray":
-                    dtype = np.lib.format.descr_to_dtype(obj.dtype_descr)
-                    src = np.ndarray(obj.shape, dtype=dtype, buffer=seg.buf)
-                    value: Any = src.copy()
-                else:
-                    value = bytes(seg.buf[: obj.nbytes])
-                pooled = _POOL.release(seg)
-            finally:
-                if not pooled:
-                    seg.close()
-                    try:
-                        seg.unlink()
-                    except FileNotFoundError:  # pragma: no cover - gone
-                        pass
-            return value
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [walk(v) for v in obj]
-        if isinstance(obj, tuple):
-            return tuple(walk(v) for v in obj)
-        return obj
-
-    return walk(payload)
-
-
-def collect_shm_refs(payload: Any) -> list[ShmRef]:
-    """All descriptors inside a still-encoded payload (teardown sweep)."""
-    refs: list[ShmRef] = []
-
-    def walk(obj: Any) -> None:
-        if isinstance(obj, ShmRef):
-            refs.append(obj)
-        elif isinstance(obj, dict):
-            for v in obj.values():
-                walk(v)
-        elif isinstance(obj, (list, tuple)):
-            for v in obj:
-                walk(v)
-
-    walk(payload)
-    return refs
-
-
-def unlink_ref(ref: ShmRef) -> None:
-    """Best-effort reclamation of one segment (failed-run cleanup)."""
-    try:
-        seg = shared_memory.SharedMemory(name=ref.name)
-    except FileNotFoundError:
-        return
-    seg.close()
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - racing cleanup
-        pass
+    def close(self) -> None:
+        """Unmap this process's views; in the owner, unlink every slot."""
+        for seg in self._maps.values():
+            seg.close()
+        self._maps.clear()
+        self._finalizer()

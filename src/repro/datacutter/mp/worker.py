@@ -15,10 +15,12 @@ reports to the supervisor over the control queue:
   :class:`~repro.datacutter.obs.trace.Trace` (attached to this worker's
   private post-fork copies of its edges) and shipped at epoch end, so
   process-engine traces are as complete as threaded ones;
-* ``("shmpool", worker_id, stats)`` with this epoch's *delta* of the
-  worker's :class:`~repro.datacutter.mp.transport.ShmPool` reuse counters
-  (segments stay pooled across epochs on a resident worker — that reuse
-  is part of the warm-path win, and the counters prove it);
+* ``("counters", worker_id, counters)`` with this epoch's transport
+  counters of the worker's two edges: segment ``hits`` / ``misses`` /
+  ``evicted`` as a producer, ``released`` as a consumer, and the
+  ``frames`` it wrote (the edges' segments stay mapped across epochs on a
+  resident worker — that reuse is part of the warm-path win, and the
+  counters prove it);
 * ``("stats", worker_id, stream, buffers, bytes, by_packet)`` with the
   producer-side accounting of its output edge for this epoch;
 * ``("done", worker_id, epoch, failed)`` as the final message of the
@@ -36,8 +38,8 @@ After a clean epoch a *resident* worker (``orders`` connection provided,
   generated filter classes are already in the fork image, anchored by
   :mod:`repro.codegen.generated_registry`), and the fault plan rides
   along so injected chaos tracks the engine's current configuration;
-* ``("exit",)`` — the poison pill: tear down the shared-memory pool and
-  leave.
+* ``("exit",)`` — the poison pill: leave (the edges' segments belong to
+  the parent, which unlinks them once every worker is gone).
 
 A non-resident worker (fork-per-run mode, and every respawned incarnation
 finishing a failed epoch) exits after its single epoch exactly like the
@@ -60,11 +62,15 @@ bookkeeping:
 * ``("genack", worker_id, packet)`` — a source copy flushed an owned
   packet (restart skips it during regeneration);
 * ``("seos", worker_id, tally)`` / ``("eos", worker_id)`` — input-stream
-  sentinels consumed so far / input fully closed.
+  end-of-stream flags counted so far / input fully closed;
+* ``("spill", worker_id, buffers)`` — sent by a failing attempt: buffers
+  it had read off its input pipe (frames carry several) but never handed
+  to the filter, for the supervisor to replay to the next incarnation.
 
 Under recovery a *failed* worker does not close its output edge — the
 respawned incarnation keeps producing on the same logical stream, and
-only the final successful attempt (or supervisor teardown) closes it.
+only the final successful attempt (or supervisor teardown) closes it.  It
+does flush what it was holding back: those buffers were committed.
 """
 
 from __future__ import annotations
@@ -85,10 +91,6 @@ from ..runtime import run_filter_copy
 from ..streams import RoundRobin
 from .arena import EpochArena
 from .channels import ProcessEdge
-from .transport import pool_stats, pool_teardown
-
-#: shm-pool counters shipped as per-epoch deltas (monotonic in the pool)
-_SHM_COUNTERS = ("hits", "misses", "released", "evicted")
 
 
 class ControlRecoverySink:
@@ -133,24 +135,21 @@ def worker_main(
     resident: bool = False,
     arena: EpochArena | None = None,
 ) -> None:
-    failed = False
-    shm_base = dict.fromkeys(_SHM_COUNTERS, 0)
-    try:
-        while True:
-            failed = _run_epoch(
-                worker_id, spec, copy_index, in_edge, out_edge, control,
-                heartbeats, epoch, trace_enabled, faults, progress, shm_base,
-            )
-            if failed or not resident or orders is None:
-                break
-            order = _next_order(orders, arena, control, spec, copy_index, worker_id)
-            if order is None:
-                break
-            epoch, spec, progress, faults = order
-    finally:
-        # the worker is exiting for good: unlink its pooled segments
-        # (reuse counters were already shipped per epoch)
-        pool_teardown()
+    out_edge.producer = copy_index
+    if in_edge is not None:
+        # about to block on empty input: send what we are holding back
+        in_edge.on_idle = out_edge.flush
+    while True:
+        failed = _run_epoch(
+            worker_id, spec, copy_index, in_edge, out_edge, control,
+            heartbeats, epoch, trace_enabled, faults, progress,
+        )
+        if failed or not resident or orders is None:
+            break
+        order = _next_order(orders, arena, control, spec, copy_index, worker_id)
+        if order is None:
+            break
+        epoch, spec, progress, faults = order
     if failed:
         sys.exit(1)
 
@@ -209,7 +208,6 @@ def _run_epoch(
     trace_enabled: bool,
     faults: FaultPlan | None,
     progress: CopyProgress | None,
-    shm_base: dict[str, int],
 ) -> bool:
     """One unit of work on this copy; returns True if the filter failed."""
     label = f"{spec.name}#{copy_index}"
@@ -269,21 +267,20 @@ def _run_epoch(
         except Exception:  # pragma: no cover - control pipe gone
             pass
     finally:
-        if not (failed and recovery):
-            # under recovery a failed attempt must NOT close: a restarted
-            # incarnation keeps producing on this logical stream, and a
-            # premature sentinel would end it for every consumer
-            try:
+        try:
+            if failed and recovery:
+                # a failed attempt must NOT close: a restarted incarnation
+                # keeps producing on this logical stream, and a premature
+                # end-of-stream flag would end it for every consumer
+                _hand_over(worker_id, copy_index, in_edge, out_edge, control)
+            else:
                 out_edge.close_producer()
-            except Exception:  # pragma: no cover - queue torn down under us
-                pass
-        # per-epoch shm-pool delta: pooled segments persist across epochs
-        # on a resident worker, so reuse counters only ever grow — ship
-        # the growth, plus the currently pooled bytes
-        shm_now = pool_stats()
-        shm_delta = {k: shm_now[k] - shm_base[k] for k in _SHM_COUNTERS}
-        shm_delta["pooled_bytes"] = shm_now["pooled_bytes"]
-        shm_base.update({k: shm_now[k] for k in _SHM_COUNTERS})
+        except Exception:  # pragma: no cover - pipe torn down under us
+            pass
+        counters = out_edge.counters()
+        if in_edge is not None:
+            for key, value in in_edge.counters().items():
+                counters[key] += value
         try:
             if trace is not None:
                 control.put(
@@ -295,8 +292,8 @@ def _run_epoch(
                         trace.blocked,
                     )
                 )
-            if any(shm_delta.values()):
-                control.put(("shmpool", worker_id, shm_delta))
+            if any(counters.values()):
+                control.put(("counters", worker_id, counters))
             control.put(
                 (
                     "stats",
@@ -333,13 +330,11 @@ def _run_recoverable(
         in_edge.on_eos = lambda tally: control.put(("seos", worker_id, tally))
 
     def crash(_fault: FaultSpec) -> None:
-        # fail-stop: flush the feeders so committed packets/acks survive,
-        # then die with no error report and no 'done' — the supervisor
-        # must notice through the process sentinel alone.  The idle pool
-        # segments hold no protocol state, so unlinking them here costs
-        # the fault model nothing and keeps the resource tracker quiet.
-        pool_teardown()
-        out_edge.flush_producer()
+        # fail-stop after the transport has flushed: committed packets,
+        # acks and undelivered input survive, then die with no error
+        # report and no 'done' — the supervisor must notice through the
+        # process sentinel alone
+        _hand_over(worker_id, copy_index, in_edge, out_edge, control)
         try:
             control.close()
             control.join_thread()
@@ -363,3 +358,20 @@ def _run_recoverable(
         heartbeat=beat,
         injector=injector,
     )
+
+
+def _hand_over(
+    worker_id: int,
+    copy_index: int,
+    in_edge: ProcessEdge | None,
+    out_edge: ProcessEdge,
+    control: Any,
+) -> None:
+    """What a failing attempt under recovery leaves to its successor:
+    the output it committed reaches downstream, and the input it read but
+    never processed goes to the supervisor for replay."""
+    out_edge.flush()
+    if in_edge is not None:
+        spilled = in_edge.spill(copy_index)
+        if spilled:
+            control.put(("spill", worker_id, spilled))

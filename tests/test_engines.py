@@ -7,11 +7,9 @@ raises, hangs, or is killed must surface as :class:`PipelineError` naming
 the filter, with no hung run and no orphaned workers.
 """
 
-import multiprocessing
 import os
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -36,6 +34,8 @@ from repro.datacutter import (
 )
 from repro.experiments.harness import _specs_for_version
 
+from .conftest import no_orphans
+
 #: generous wall-clock cap for process-engine runs so a regression fails
 #: instead of hanging the suite
 PROC_TIMEOUT = 120.0
@@ -48,26 +48,8 @@ def _run(specs, engine):
     return run_pipeline(specs, EngineOptions(engine=engine, timeout=timeout))
 
 
-def _no_orphans():
-    """Assert no worker process survived (reaps via active_children)."""
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
-def _no_live_filter_threads(prefix):
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        alive = [
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith(prefix) and t.is_alive()
-        ]
-        if not alive:
-            return
-        time.sleep(0.05)
-    raise AssertionError(f"filter threads still alive: {alive}")
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +117,7 @@ def test_cross_engine_identical(app_name):
     expected = workload.oracle()
     assert workload.check(threaded.payloads[-1], expected)
     assert workload.check(process.payloads[-1], expected)
-    _no_orphans()
+    no_orphans()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +186,7 @@ def test_eos_with_widened_stages(engine):
         assert result.payloads == [132.0]
         assert result.stream_bytes["src->dbl"] == 12 * 8
         assert result.stream_buffers["dbl->sum"] == 12
-    _no_orphans()
+    no_orphans()
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
@@ -220,9 +202,9 @@ def test_error_in_one_copy_fails_run(engine):
         _run(specs, engine)
     assert "kaboom" in str(exc_info.value)
     if engine == "process":
-        _no_orphans()
+        no_orphans()
     else:
-        _no_live_filter_threads("boom#")
+        no_orphans(thread_prefix="boom#")
 
 
 def test_killed_worker_detected():
@@ -237,7 +219,7 @@ def test_killed_worker_detected():
     with pytest.raises(PipelineError, match="killer#0") as exc_info:
         _run(specs, "process")
     assert "killed or crashed" in str(exc_info.value)
-    _no_orphans()
+    no_orphans()
 
 
 def test_supervisor_timeout_names_stalest_filter():
@@ -255,7 +237,7 @@ def test_supervisor_timeout_names_stalest_filter():
         assert "tarpit#0" in str(exc_info.value)
     finally:
         _unstick.set()
-    _no_orphans()
+    no_orphans()
 
 
 def test_threaded_stuck_filter_detected():
@@ -271,7 +253,7 @@ def test_threaded_stuck_filter_detected():
             ThreadedPipeline(specs, join_timeout=1.0).run()
     finally:
         _unstick.set()  # release the abandoned daemon thread
-    _no_live_filter_threads("tarpit#")
+    no_orphans(thread_prefix="tarpit#")
 
 
 # ---------------------------------------------------------------------------
@@ -303,4 +285,4 @@ def test_compile_result_execute_engine_switch():
         options=EngineOptions(engine="process", timeout=PROC_TIMEOUT),
     )
     assert workload.check(run.payloads[-1], workload.oracle())
-    _no_orphans()
+    no_orphans()

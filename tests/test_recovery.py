@@ -524,7 +524,6 @@ def test_post_eos_deadline_fails_silent_worker():
         [WorkerHandle(process=proc, worker_id=0, label="tarpit#0")],
         control,
         collector,
-        [collector],
         heartbeats,
         post_eos_timeout=0.5,
     )

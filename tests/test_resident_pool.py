@@ -12,7 +12,6 @@ in-flight run fails that run with a structured error instead of hanging
 or leaking processes.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -41,9 +40,12 @@ from repro.datacutter import (
     run_pipeline,
 )
 from repro.datacutter.engine import EngineSession
+from repro.datacutter.mp.transport import SEGMENTS_PER_PRODUCER
 from repro.experiments.harness import _specs_for_version
 from repro.serve import LocalClient, PipelineServer, ServerOptions, oneshot
 from repro.serve.session import SessionPool
+
+from .conftest import no_orphans
 
 PROC_TIMEOUT = 120.0
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.01, jitter=0.0)
@@ -55,11 +57,6 @@ def proc_options(**overrides) -> EngineOptions:
     return EngineOptions(**merged)
 
 
-def _no_orphans():
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
 class PidSource(SourceFilter):
@@ -106,7 +103,7 @@ def test_session_forks_once_and_reuses_workers():
     assert pid_sets[0] == pid_sets[1] == pid_sets[2]
     assert len(pid_sets[0]) == 3  # 2 source copies + 1 tag copy
     assert os.getpid() not in pid_sets[0]
-    _no_orphans()
+    no_orphans()
 
 
 def test_resident_false_forks_per_run():
@@ -116,14 +113,14 @@ def test_resident_false_forks_per_run():
         second = _pids(session.run(pid_specs()))
         assert session._engine._forks == 2
     assert first != second  # fresh processes each run
-    _no_orphans()
+    no_orphans()
 
 
 def test_oneshot_run_pipeline_still_tears_down():
     """Without a session, each run forks and joins its own pool."""
     run = run_pipeline(pid_specs(), proc_options())
     assert len(_pids(run)) == 3
-    _no_orphans()
+    no_orphans()
 
 
 def test_refork_on_pipeline_shape_change():
@@ -137,7 +134,7 @@ def test_refork_on_pipeline_shape_change():
         assert engine._reforks == 1
     assert len(narrow) == 2
     assert len(wide) == 3
-    _no_orphans()
+    no_orphans()
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def test_two_runs_byte_identical_on_resident_pool():
         warm2 = session.run(bleed_specs()).payloads
         assert session._engine._forks == 1
     assert warm1 == warm2 == cold
-    _no_orphans()
+    no_orphans()
 
 
 class ArraySource(SourceFilter):
@@ -222,9 +219,9 @@ def shm_specs():
 
 
 def test_shm_segments_persist_and_reuse_across_epochs():
-    """Resident workers keep their ShmPool warm between epochs: segments
-    are still pooled at epoch end (not unlinked) and the next epoch's
-    encodes hit them; the per-run trace note carries the counters."""
+    """Edge segments outlive the epoch on a resident pool: they are still
+    there at epoch end (not unlinked) and the next epoch's encodes hit
+    them; the per-run trace note carries the counters."""
     trace = Trace()
     opts = proc_options(trace=trace, shm_min_bytes=1024)
     with EngineSession(opts) as session:
@@ -237,7 +234,72 @@ def test_shm_segments_persist_and_reuse_across_epochs():
         assert second["hits"] > 0  # epoch 2 reused pooled segments
         assert trace.meta["worker_pool"]["epoch"] == 2
         assert trace.meta["worker_pool"]["forks"] == 1
-    _no_orphans()
+    no_orphans()
+
+
+class HopSource(SourceFilter):
+    def generate(self, ctx):
+        for _ in range(ctx.params["n"]):
+            yield ctx.params["payload"]
+
+
+class HopCount(Filter):
+    def init(self, ctx):
+        self.count = 0
+
+    def process(self, buf, ctx):
+        self.count += 1
+
+    def finalize(self, ctx):
+        ctx.write(self.count)
+
+
+def hop_specs(n: int, payload: bytes):
+    """Source -> forward -> forward -> counting sink: three hops that each
+    carry the payload, the shape of the benchmark's hop-process unit."""
+    params = {"n": n, "payload": payload}
+    return [
+        FilterSpec("hop-src", HopSource, params=params),
+        FilterSpec("hop-fwd1", Filter, 1),
+        FilterSpec("hop-fwd2", Filter, 1),
+        FilterSpec("hop-sink", HopCount, 2),
+    ]
+
+
+def _segments_per_edge() -> dict[str, int]:
+    """Live edge segments on disk, by edge (``psm_<edge>_<slot>``)."""
+    per_edge: dict[str, int] = {}
+    for name in os.listdir("/dev/shm"):
+        if name.startswith("psm_") and name.count("_") == 2:
+            edge = name.rsplit("_", 1)[0]
+            per_edge[edge] = per_edge.get(edge, 0) + 1
+    return per_edge
+
+
+def test_warm_hops_reuse_every_segment_exactly():
+    """After one warm-up epoch, every 256 KiB leaf of every hop lands in a
+    segment its edge already owns: 60 packets x 3 hops = 180 hits, no
+    miss, and never more than the bound of segments on any edge (one
+    producer copy each)."""
+    payload = np.random.default_rng(0).bytes(256 * 1024)
+    trace = Trace()
+    with EngineSession(proc_options(trace=trace)) as session:
+        assert session.run(hop_specs(60, payload)).payloads == [60]
+        assert trace.meta["shm_pool"]["misses"] == 3 * SEGMENTS_PER_PRODUCER
+        for _epoch in range(10):
+            assert session.run(hop_specs(60, payload)).payloads == [60]
+            pool = trace.meta["shm_pool"]
+            assert (pool["hits"], pool["misses"], pool["evicted"]) == (180, 0, 0)
+            assert pool["released"] == 180
+            assert pool["segments"] == 3 * SEGMENTS_PER_PRODUCER
+            per_edge = _segments_per_edge()
+            assert len(per_edge) == 3
+            assert max(per_edge.values()) <= SEGMENTS_PER_PRODUCER
+            # reported, not pinned: how many buffers share a frame depends
+            # on how far each consumer lags its producer
+            assert trace.meta["worker_pool"]["frames"] > 0
+    assert _segments_per_edge() == {}
+    no_orphans()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +348,7 @@ def test_close_racing_inflight_run_fails_structured():
 
     with pytest.raises(RuntimeError, match="closed"):
         session.run(stalled_specs())
-    _no_orphans()
+    no_orphans()
 
 
 def test_session_pool_close_then_execute_raises():
@@ -295,7 +357,7 @@ def test_session_pool_close_then_execute_raises():
     service = make_knn_service(n_points=500, num_packets=2)
     with pytest.raises(RuntimeError, match="closed"):
         pool.execute(service.plan({"x": 0.5, "y": 0.5, "z": 0.5}))
-    _no_orphans()
+    no_orphans()
 
 
 def test_close_is_idempotent():
@@ -303,7 +365,7 @@ def test_close_is_idempotent():
         session.run(pid_specs())
         session.close()
         session.close()
-    _no_orphans()
+    no_orphans()
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +412,7 @@ def _burst_matches_oneshot(engine_options, n_requests: int) -> None:
     for (kind, body), response in zip(requests, responses):
         expect = baselines[(kind, tuple(sorted(body.items())))]
         assert response.value.tobytes() == expect.tobytes()
-    _no_orphans()
+    no_orphans()
 
 
 def test_serve_burst_on_resident_pool_matches_oneshot():
@@ -411,7 +473,7 @@ def test_refork_reason_is_recorded():
         # and a clean epoch afterwards clears it
         note = _worker_pool_note(session, trace, pid_specs(width=2))
         assert (note["reforks"], note["refork_reason"]) == (3, None)
-    _no_orphans()
+    no_orphans()
 
 
 def _spec_maker(app, workload):
@@ -457,7 +519,7 @@ def test_paper_apps_never_refork_across_ten_epochs():
         assert session._engine._epoch == 40
         assert session._engine._forks == 1
         assert session._engine._reforks == 0
-    _no_orphans()
+    no_orphans()
 
 
 def _knn_counts(n_packets: int, runs: int) -> list[tuple[int, int]]:
@@ -501,7 +563,7 @@ def test_arena_holds_the_dataset_once_and_counts_repeat_exactly():
             assert nbytes <= note["arena_bytes"] <= 1.05 * nbytes, name
     counts = _knn_counts(8, runs=10)
     assert len(set(counts)) == 1, counts
-    _no_orphans()
+    no_orphans()
 
 
 def test_deep_stats_carry_the_worker_pool_note():
@@ -517,4 +579,4 @@ def test_deep_stats_carry_the_worker_pool_note():
     assert pool_note["reforks"] == 0 and pool_note["refork_reason"] is None
     assert 0 < pool_note["order_bytes"] <= 1024 * 4
     assert pool_note["arena_bytes"] > 0
-    _no_orphans()
+    no_orphans()

@@ -1,137 +1,162 @@
-"""Shared-memory segment pooling in the process-engine transport.
+"""Per-edge shared-memory segments in the process-engine transport.
 
-Unit tests drive :class:`repro.datacutter.mp.transport.ShmPool` directly
-(size classes, hit/miss accounting, bounded parking, teardown); the
-integration test runs a real pipeline shaped so a middle stage consumes
-*and* produces large payloads of the same size class — the configuration
-where recycling actually fires — and asserts the reuse counters land in
-the run trace.
+Unit tests drive :class:`repro.datacutter.mp.transport.EdgeSegments`
+directly (segment sizing, hit/miss accounting, the per-producer bound,
+ownership across processes, the owner's unlink); the integration tests
+run a real pipeline shaped so a middle stage consumes *and* produces
+large payloads — the configuration where every hop rides a segment — and
+assert the reuse counters land in the run trace.
 """
 
 import multiprocessing
-import threading
-import time
-from multiprocessing import shared_memory
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro.apps import make_zbuffer_app
 from repro.core.compiler import CompileOptions, compile_source
 from repro.cost import cluster_config
 from repro.datacutter import EngineOptions, run_pipeline
-from repro.datacutter.mp.transport import ShmPool
+from repro.datacutter.mp.transport import (
+    SEGMENTS_PER_PRODUCER,
+    EdgeSegments,
+    ShmRef,
+    segment_size,
+)
 from repro.datacutter.obs.trace import Trace
 from repro.decompose.plan import DecompositionPlan
 
+from .conftest import no_orphans
+
 PROC_TIMEOUT = 120.0
 
+MPCTX = multiprocessing.get_context("fork")
 
-def _no_orphans():
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
+
+def _on_disk(segments: EdgeSegments) -> set[str]:
+    prefix = segments.prefix.lstrip("/")
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+
+def _never_wait() -> bool:
+    return False
+
+
+@pytest.fixture
+def segments():
+    seg = EdgeSegments(MPCTX, n_producers=2)
+    yield seg
+    seg.close()
 
 
 # ---------------------------------------------------------------------------
-# ShmPool unit behaviour
+# EdgeSegments unit behaviour
 # ---------------------------------------------------------------------------
 
 
 def test_size_class_rounds_to_power_of_two():
-    assert ShmPool.size_class(1) == ShmPool.MIN_CLASS
-    assert ShmPool.size_class(ShmPool.MIN_CLASS) == ShmPool.MIN_CLASS
-    assert ShmPool.size_class(ShmPool.MIN_CLASS + 1) == 2 * ShmPool.MIN_CLASS
-    assert ShmPool.size_class(100_000) == 131_072
+    assert segment_size(1) == 4096
+    assert segment_size(4096) == 4096
+    assert segment_size(4097) == 8192
+    assert segment_size(100_000) == 131_072
 
 
-def test_acquire_release_recycles_segment():
-    pool = ShmPool()
-    try:
-        seg = pool.acquire(5000)
-        assert pool.misses == 1 and pool.hits == 0
-        assert seg.size == 8192  # sized to the class, not the request
-        name = seg.name
-        assert pool.release(seg) is True
-        assert pool.stats()["pooled_bytes"] == 8192
-        # same class -> the parked segment comes back
-        again = pool.acquire(6000)
-        assert again.name == name
-        assert pool.hits == 1
-        # different class -> fresh segment
-        other = pool.acquire(20_000)
-        assert other.name != name
-        assert pool.misses == 2
-        pool.release(again)
-        pool.release(other)
-    finally:
-        pool.teardown()
+def test_acquire_release_recycles_segment(segments):
+    leaf = np.arange(625, dtype=np.float64)  # 5000 bytes
+    ref = segments.encode(leaf, 0, 1024, _never_wait)
+    assert isinstance(ref, ShmRef) and ref.size == 8192
+    # the first miss sizes every free slot of the producer at once
+    assert (segments.misses, segments.hits) == (SEGMENTS_PER_PRODUCER, 0)
+    assert segments.census() == (SEGMENTS_PER_PRODUCER, SEGMENTS_PER_PRODUCER * 8192)
+    assert np.array_equal(segments.decode(ref), leaf)
+    assert segments.released == 1
+    # handed back: the next leaf of the class reuses the same slot
+    again = segments.encode(leaf + 1, 0, 1024, _never_wait)
+    assert again.slot == ref.slot and segments.hits == 1
+    assert segments.misses == SEGMENTS_PER_PRODUCER
+    assert segments.decode(again).tobytes() == (leaf + 1).tobytes()
+    # a larger leaf regrows the free slots that are too small
+    big = bytes(range(256)) * 80  # 20480 bytes
+    big_ref = segments.encode(big, 0, 1024, _never_wait)
+    assert big_ref.size == 32768
+    assert segments.evicted == SEGMENTS_PER_PRODUCER
+    assert segments.decode(big_ref) == big
+    assert len(_on_disk(segments)) == SEGMENTS_PER_PRODUCER
 
 
-def test_release_refuses_foreign_and_overflow_segments():
-    pool = ShmPool(max_per_class=1)
-    foreign = shared_memory.SharedMemory(create=True, size=5000)
-    try:
-        # arbitrary-size (pre-pool) segment: never parked
-        assert pool.release(foreign) is False
-    finally:
-        foreign.close()
-        foreign.unlink()
-    a = pool.acquire(100)
-    b = pool.acquire(100)
-    try:
-        assert pool.release(a) is True
-        # class list full (max_per_class=1): caller must unlink
-        assert pool.release(b) is False
-        assert pool.evicted == 1
-    finally:
-        b.close()
-        b.unlink()
-        pool.teardown()
+def test_release_refuses_foreign_and_overflow_segments(segments):
+    """A producer only ever uses its own slots, never more than the bound;
+    with all of them in flight a leaf stays in the pickle."""
+    leaf = np.ones(2048, dtype=np.uint8)
+    refs = [segments.encode(leaf, 1, 1024, _never_wait) for _ in range(SEGMENTS_PER_PRODUCER)]
+    slots = {ref.slot for ref in refs}
+    assert slots == set(range(SEGMENTS_PER_PRODUCER, 2 * SEGMENTS_PER_PRODUCER))
+    assert segments.census()[0] == SEGMENTS_PER_PRODUCER  # none of producer 0's
+    waits = []
+
+    def wait() -> bool:
+        waits.append(1)
+        return False
+
+    inline = segments.encode({"x": leaf}, 1, 1024, wait)
+    assert waits == [1] and inline["x"] is leaf
+    assert segments.acquire(1, 16) is None
+    segments.decode(refs[3])
+    assert segments.acquire(1, 16) == refs[3].slot
 
 
-def test_teardown_unlinks_everything():
-    pool = ShmPool()
-    seg = pool.acquire(1)
-    name = seg.name
-    pool.release(seg)
-    stats = pool.teardown()
-    assert stats["misses"] == 1 and stats["released"] == 1
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=name)
-    # teardown leaves the pool usable and empty
-    assert pool.stats()["pooled_bytes"] == 0
+def test_teardown_unlinks_everything(segments):
+    segments.encode(b"\x07" * 5000, 0, 1024, _never_wait)
+    segments.encode(b"\x08" * 5000, 1, 1024, _never_wait)
+    assert len(_on_disk(segments)) == 2 * SEGMENTS_PER_PRODUCER
+    # a forked process's close unmaps its own views but unlinks nothing
+    child = MPCTX.Process(target=segments.close)
+    child.start()
+    child.join(30)
+    assert child.exitcode == 0
+    assert len(_on_disk(segments)) == 2 * SEGMENTS_PER_PRODUCER
+    assert segments.census() == (2 * SEGMENTS_PER_PRODUCER, 2 * SEGMENTS_PER_PRODUCER * 8192)
+    segments.close()
+    assert _on_disk(segments) == set()
+    assert segments.census() == (0, 0)
+    segments.close()  # idempotent
 
 
-def test_pool_is_thread_safe():
-    """Hammer one pool from several threads: the internal lock must keep
-    the free lists and the byte budget consistent (no pop from an emptied
-    list, no negative/runaway pooled_bytes) and every segment must end up
-    either unlinked by its thread or reclaimed by teardown."""
-    pool = ShmPool(max_per_class=4)
-    errors: list[BaseException] = []
+def _produce(segments: EdgeSegments, leaf: np.ndarray, out) -> None:
+    out.send(segments.encode(leaf, 0, 1024, _never_wait))
 
-    def churn():
-        try:
-            for _ in range(200):
-                seg = pool.acquire(5000)
-                if not pool.release(seg):
-                    seg.close()
-                    seg.unlink()
-        except BaseException as exc:  # noqa: BLE001 - surfaced below
-            errors.append(exc)
 
-    threads = [threading.Thread(target=churn) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert errors == []
-    stats = pool.teardown()
-    assert stats["pooled_bytes"] >= 0
-    assert stats["hits"] + stats["misses"] == 4 * 200
-    # after teardown the pool is empty and still usable
-    assert pool.stats()["pooled_bytes"] == 0
+def test_segment_state_is_shared_across_processes(segments):
+    """Sizes and busy flags live in shared memory: a restarted producer
+    sees which of its predecessor's segments are still in flight, and a
+    consumer in another process hands one back to it."""
+    leaf = np.arange(4096, dtype=np.int32)
+    recv, send = MPCTX.Pipe(duplex=False)
+    first = MPCTX.Process(target=_produce, args=(segments, leaf, send))
+    first.start()
+    ref = recv.recv()
+    first.join(30)
+    # the parent never mapped them, yet it knows every segment
+    assert segments.census()[0] == SEGMENTS_PER_PRODUCER
+    second = MPCTX.Process(target=_produce, args=(segments, leaf * 2, send))
+    second.start()
+    ref2 = recv.recv()
+    second.join(30)
+    assert ref2.slot != ref.slot  # the predecessor's slot was still busy
+    assert np.array_equal(segments.decode(ref), leaf)
+    assert np.array_equal(segments.decode(ref2), leaf * 2)
+    third = MPCTX.Process(target=_produce, args=(segments, leaf * 3, send))
+    third.start()
+    ref3 = recv.recv()
+    third.join(30)
+    assert ref3.slot == ref.slot  # handed back by this process: reused
+    assert np.array_equal(segments.decode(ref3), leaf * 3)
+    recv.close()
+    send.close()
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +206,7 @@ def test_pool_reuse_reported_in_trace():
     assert stats["hits"] > 0
     assert stats["released"] > 0
     assert stats["misses"] > 0
-    _no_orphans()
+    no_orphans()
 
 
 def test_pool_disabled_below_threshold():
@@ -213,4 +238,128 @@ def test_pool_disabled_below_threshold():
     assert workload.check(run.payloads[-1], workload.oracle())
     stats = trace.meta.get("shm_pool", {"hits": 0})
     assert stats["hits"] == 0
-    _no_orphans()
+    no_orphans()
+
+
+# ---------------------------------------------------------------------------
+# Segment ownership: nothing outlives its pool
+# ---------------------------------------------------------------------------
+
+#: run in a fresh interpreter, so its resource tracker's verdict at exit
+#: is on stderr; the scenario name is argv[1]
+_SCENARIO = r"""
+import os
+import sys
+import numpy as np
+from repro.datacutter import (
+    EngineOptions, FaultSpec, Filter, FilterSpec, PipelineError, RetryPolicy,
+    SourceFilter, run_pipeline,
+)
+from repro.datacutter.engine import EngineSession
+
+
+class Src(SourceFilter):
+    def generate(self, ctx):
+        for k in range(ctx.params["n"]):
+            yield np.full(40_000, k, dtype=np.float64)  # 320 KB: a segment
+
+
+class Mid(Filter):
+    def process(self, buf, ctx):
+        if ctx.params.get("boom") and buf.packet == 5:
+            raise RuntimeError("boom")
+        ctx.write(buf.payload * 2.0, buf.packet)
+
+
+class Sum(Filter):
+    def init(self, ctx):
+        self.total = 0.0
+
+    def process(self, buf, ctx):
+        self.total += float(buf.payload[0])
+
+    def finalize(self, ctx):
+        ctx.write(self.total)
+
+
+def specs(n=12, mid_width=1, **params):
+    params["n"] = n
+    return [
+        FilterSpec("src", Src, params=params),
+        FilterSpec("mid", Mid, 1, width=mid_width, params=params),
+        FilterSpec("sink", Sum, 2),
+    ]
+
+
+def expect(n=12):
+    return [float(sum(2 * k for k in range(n)))]
+
+
+def segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+before = segments()
+opts = EngineOptions(engine="process", timeout=120.0, death_grace=0.3)
+scenario = sys.argv[1]
+if scenario == "fork-per-run":
+    assert run_pipeline(specs(), opts).payloads == expect()
+elif scenario.startswith("crash-"):
+    healing = opts.replace(
+        retry=RetryPolicy(max_attempts=3, backoff_base=0.01, jitter=0.0),
+        faults=[FaultSpec(filter=scenario[len("crash-"):], kind="crash", packet=3)],
+    )
+    with EngineSession(healing) as session:
+        for _ in range(2):
+            assert session.run(specs()).payloads == expect()
+else:
+    with EngineSession(opts) as session:
+        if scenario == "clean-close":
+            for _ in range(3):
+                assert session.run(specs()).payloads == expect()
+        elif scenario == "failed-epoch":
+            assert session.run(specs()).payloads == expect()
+            try:
+                session.run(specs(boom=True))
+            except PipelineError:
+                pass
+            else:
+                raise SystemExit("the failing epoch did not fail")
+            assert session.run(specs()).payloads == expect()
+        else:  # refork
+            assert session.run(specs()).payloads == expect()
+            assert session.run(specs(mid_width=2)).payloads == expect()
+            assert session._engine._reforks == 1
+# unlinked by the engine itself, not by an exit-time safety net
+assert segments() <= before, segments() - before
+print("ok")
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        "clean-close",
+        "failed-epoch",
+        "refork",
+        "fork-per-run",
+        "crash-src",
+        "crash-mid",
+        "crash-sink",
+    ],
+)
+def test_no_segment_outlives_its_pool(scenario):
+    before = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCENARIO, scenario],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+    assert "leaked shared_memory" not in done.stderr
+    after = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    assert after - before == set()

@@ -10,8 +10,6 @@ vectorize must fall back to the scalar path per loop — with the reason
 recorded in the generated source — and still compute the same answer.
 """
 
-import multiprocessing
-import time
 import warnings
 
 import numpy as np
@@ -31,6 +29,8 @@ from repro.datacutter import EngineOptions, run_pipeline
 from repro.experiments.harness import _specs_for_version
 from repro.lang.intrinsics import Intrinsic, IntrinsicRegistry
 from repro.lang.types import DOUBLE, VOID
+
+from .conftest import no_orphans
 
 #: generous wall-clock cap for process-engine runs so a regression fails
 #: instead of hanging the suite
@@ -64,11 +64,6 @@ def _run(specs, engine):
     return run_pipeline(specs, EngineOptions(engine=engine, timeout=timeout))
 
 
-def _no_orphans():
-    deadline = time.monotonic() + 10.0
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
 def _canonical(finals):
@@ -131,7 +126,7 @@ def test_backends_identical(app_name, engine):
     assert workload.check(runs["scalar"].payloads[-1], expected)
     assert workload.check(runs["vector"].payloads[-1], expected)
     if engine == "process":
-        _no_orphans()
+        no_orphans()
 
 
 # ---------------------------------------------------------------------------
