@@ -39,7 +39,7 @@ process-engine servers, one with ``EngineOptions(resident=False)``
 processes) and one with the default resident pool (workers forked once,
 each request shipped as a work epoch over the order channels).  The
 per-request latency medians are compared — the resident pool must be
->=2x lower locally (advisory 1.2x on CI) — and both modes land in the
+>=1.5x lower locally (advisory 1.2x on CI) — and both modes land in the
 JSON report.
 
 Run standalone with
@@ -65,13 +65,16 @@ from repro.serve.session import oneshot
 
 #: Every ratio below is a quotient of two paths that both run units of
 #: work on the threaded engine, so a change that speeds the engine up moves
-#: the ratios down: the fixed parts of the serve path (batch deadline,
-#: thread hops) do not shrink with it.  Re-measured after the baton
-#: schedule and the selecting knn fold landed (three runs each):
-#: serve 4.3 / 5.1 / 6.3x and socket 4.3 / 5.3 / 5.6x where the parent
-#: commit read 5.2-6.4x, fusion 4.2 / 4.3 / 6.3x where 4.8x was recorded.
-#: The floors sit under the lowest of those runs; they guard against
-#: losing the serving wins, not against a faster one-shot path.
+#: the ratios down: the fixed parts of the serve path (thread hops) do not
+#: shrink with it.  Re-measured after dispatch became work-conserving (no
+#: batch timer), seven runs each, change against its parent commit on a
+#: 2-vCPU box: serve 4.1-6.2x (median 5.8, parent 5.3), socket 3.8-7.1x
+#: (median 3.9, parent 5.2: the socket burst trickles in, and its first
+#: batch now goes as soon as one request has arrived, so the burst takes
+#: three batches where a timer gathered it into two), fusion 4.9-7.1x
+#: (median 5.2, parent 5.0).  The floors sit under the lowest of those
+#: runs; they guard against losing the serving wins, not against a faster
+#: one-shot path.
 EXPECTED_SPEEDUP = 4.0
 #: shared CI runners add enough wall-clock noise that the real floor can
 #: fail without a regression; CI asserts this advisory floor instead
@@ -81,8 +84,12 @@ CI_FLOOR = 2.0
 SOCKET_EXPECTED_SPEEDUP = 3.5
 SOCKET_CI_FLOOR = 2.0
 #: resident worker pool vs fork-per-run on the process engine: median
-#: per-request latency must drop by at least this factor
-RESIDENT_EXPECTED_SPEEDUP = 2.0
+#: per-request latency must drop by at least this factor.  Was 2x while
+#: fork-per-run cost 32 ms; the epoch arena and pipe frames cut it to
+#: 15-22 ms, and fourteen runs of this mode (whose dispatch is the same
+#: with or without a batch timer, max_batch=1) read 1.9-2.8x, so 2x sat
+#: inside the run-to-run spread
+RESIDENT_EXPECTED_SPEEDUP = 1.5
 RESIDENT_CI_FLOOR = 1.2
 #: fused lane-batched burst vs unfused equal-group_key coalescing on a
 #: burst of distinct knn queries
@@ -140,7 +147,7 @@ def measure() -> dict:
     oneshot_wall = time.perf_counter() - t0
 
     # -- serving path ------------------------------------------------------
-    options = ServerOptions(max_batch=32, batch_deadline=0.01, max_queue=128)
+    options = ServerOptions(max_batch=32, max_queue=128)
     with PipelineServer(make_services(), options) as server:
         client = LocalClient(server, timeout=600.0)
         t0 = time.perf_counter()
@@ -233,7 +240,6 @@ def measure_fusion() -> dict:
     for mode, fuse in (("coalesced", False), ("fused", True)):
         options = ServerOptions(
             max_batch=len(requests),
-            batch_deadline=0.02,
             max_queue=4 * len(requests),
             fuse=fuse,
             max_fuse_lanes=len(requests),
@@ -306,7 +312,6 @@ def measure_resident_latency() -> dict:
         options = ServerOptions(
             engine_options=engine_options,
             max_batch=1,
-            batch_deadline=0.0,
             max_queue=4 * N_LATENCY,
         )
         with PipelineServer(make_services(), options) as server:

@@ -327,6 +327,22 @@ def _serve_services(args: argparse.Namespace) -> list:
     ]
 
 
+def _serve_options(args: argparse.Namespace):
+    """The ``ServerOptions`` both local and ``--listen`` serving run with."""
+    from .datacutter import EngineOptions
+    from .serve import ServerOptions
+
+    return ServerOptions(
+        engine_options=EngineOptions(engine=args.engine),
+        max_queue=args.queue,
+        admission=args.policy,
+        max_batch=args.max_batch,
+        max_frame_bytes=args.max_frame,
+        fuse=args.fuse,
+        max_fuse_lanes=args.max_fuse_lanes,
+    )
+
+
 def _export_serve_artifacts(metrics, args: argparse.Namespace, indent: str = "") -> int:
     """Write the optional observability artifacts of a serve run: the
     Prometheus exposition (``--metrics-out``) and the linked request
@@ -358,8 +374,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .datacutter import EngineOptions
-    from .serve import PipelineServer, ServerOptions
+    from .serve import PipelineServer
     from .serve.transport import parse_address
 
     try:
@@ -367,17 +382,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"serve: {exc}")
         return 2
-    options = ServerOptions(
-        engine_options=EngineOptions(engine=args.engine),
-        max_queue=args.queue,
-        admission=args.policy,
-        max_batch=args.max_batch,
-        batch_deadline=args.batch_deadline,
-        max_frame_bytes=args.max_frame,
-        fuse=args.fuse,
-        max_fuse_lanes=args.max_fuse_lanes,
-    )
-    server = PipelineServer(_serve_services(args), options)
+    server = PipelineServer(_serve_services(args), _serve_options(args))
     stop = threading.Event()
     previous = signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
@@ -408,7 +413,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
     from .datacutter import EngineOptions
-    from .serve import LocalClient, PipelineServer, RemoteClient, ServerOptions
+    from .serve import LocalClient, PipelineServer, RemoteClient
     from .serve.session import oneshot
 
     if args.listen and args.connect:
@@ -436,17 +441,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serve: cannot connect to {args.connect}: {exc}")
             return 2
     else:
-        options = ServerOptions(
-            engine_options=EngineOptions(engine=args.engine),
-            max_queue=args.queue,
-            admission=args.policy,
-            max_batch=args.max_batch,
-            batch_deadline=args.batch_deadline,
-            max_frame_bytes=args.max_frame,
-            fuse=args.fuse,
-            max_fuse_lanes=args.max_fuse_lanes,
-        )
-        server = PipelineServer(services, options).start()
+        server = PipelineServer(services, _serve_options(args)).start()
         client = LocalClient(server, timeout=600.0)
 
     try:
@@ -980,12 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         help="cap on lanes per fused execution (default 32)",
-    )
-    p_serve.add_argument(
-        "--batch-deadline",
-        type=float,
-        default=0.005,
-        help="seconds the batcher waits for followers (default 0.005)",
     )
     p_serve.add_argument(
         "--backend",

@@ -16,10 +16,11 @@ halves:
     load-shedding trade).
 
 * **Micro-batching** (:meth:`AdmissionQueue.collect_batch`) — the
-  dispatcher takes one request, then keeps gathering until the batch
-  budget (``max_batch``) or the batching deadline elapses.  Batching
-  amortizes dispatch overhead and, more importantly, lets the dispatcher
-  group compatible requests into single pipeline executions.
+  dispatcher waits for one request, then takes whatever else is already
+  queued, up to the batch budget (``max_batch``), and never waits on a
+  timer.  Batches form under load, from the requests that arrive while
+  the previous batch executes; they let the dispatcher group compatible
+  requests into single pipeline executions.
 """
 
 from __future__ import annotations
@@ -136,25 +137,22 @@ class AdmissionQueue:
             return item
 
     def collect_batch(
-        self, max_batch: int, batch_deadline: float, poll: float = 0.1
+        self, max_batch: int, linger: float = 0.0, poll: float = 0.1
     ) -> list[PendingResponse]:
-        """Assemble one micro-batch.
+        """Assemble one micro-batch, work-conserving.
 
         Blocks up to ``poll`` seconds for the first request (so a stopping
-        server notices promptly), then gathers until ``max_batch`` requests
-        or ``batch_deadline`` seconds from the first arrival — the
-        size/deadline budget that trades a little head-of-line latency for
-        batch occupancy."""
+        server notices promptly), then takes every request already queued,
+        up to ``max_batch``, without waiting.  ``linger`` is extra seconds
+        to wait for followers once the queue is drained; the server never
+        sets it."""
         first = self.take(timeout=poll)
         if first is None:
             return []
         batch = [first]
-        t_end = time.monotonic() + batch_deadline
+        t_end = time.monotonic() + linger
         while len(batch) < max_batch:
-            remaining = t_end - time.monotonic()
-            if remaining <= 0:
-                break
-            nxt = self.take(timeout=remaining)
+            nxt = self.take(timeout=max(t_end - time.monotonic(), 0.0))
             if nxt is None:
                 break
             batch.append(nxt)

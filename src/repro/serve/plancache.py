@@ -28,7 +28,11 @@ serves both engines.
 Entries are :class:`~repro.core.compiler.CompilationResult` objects,
 shared by reference: they are immutable in practice (``pipeline.specs``
 builds fresh filter instances per run), and callers must not mutate
-them.  The cache is thread-safe and LRU-bounded.
+them.  Nor may they mutate the arguments they hand the cache:
+:meth:`PlanCache.key_for` memoises keys by the *identity* of its arguments
+(plus the resolved backend), so a warm hit hashes nothing — derive new
+options with ``options.replace(...)``, which keys afresh.  The cache is
+thread-safe and LRU-bounded.
 """
 
 from __future__ import annotations
@@ -186,6 +190,8 @@ class PlanCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, CompilationResult] = OrderedDict()
+        #: argument ids + backend -> (the arguments, held so no id is reused; key)
+        self._keys: OrderedDict[tuple, tuple[tuple, str]] = OrderedDict()
         self.stats = CacheStats()
 
     def key_for(
@@ -196,7 +202,15 @@ class PlanCache:
         plan: DecompositionPlan | None = None,
         intrinsic_impls: dict[str, Callable] | None = None,
     ) -> str:
-        """Deterministic key over everything that changes the compile."""
+        """Deterministic key over everything that changes the compile,
+        memoised by the identity of the arguments."""
+        args = (source, registry, options, plan, intrinsic_impls)
+        memo = (*map(id, args), resolve_backend(options.backend))
+        with self._lock:
+            found = self._keys.get(memo)
+            if found is not None:
+                self._keys.move_to_end(memo)
+                return found[1]
         material = repr(
             (
                 ("source", hashlib.sha256(source.encode()).hexdigest()),
@@ -206,7 +220,12 @@ class PlanCache:
                 ("impls", _canon(intrinsic_impls or {})),
             )
         )
-        return hashlib.sha256(material.encode()).hexdigest()
+        key = hashlib.sha256(material.encode()).hexdigest()
+        with self._lock:
+            self._keys[memo] = (args, key)
+            while len(self._keys) > self.capacity:
+                self._keys.popitem(last=False)
+        return key
 
     def get(self, key: str) -> CompilationResult | None:
         with self._lock:
@@ -256,3 +275,4 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._keys.clear()

@@ -10,10 +10,10 @@ long-running service.  Lifecycle::
     response = pending.result(timeout=30)
     server.stop()          # graceful drain, then shutdown
 
-One dispatcher thread pulls micro-batches off the
-:class:`~repro.serve.broker.AdmissionQueue`, groups compatible requests
-(equal :class:`~repro.serve.requests.ServicePlan` ``group_key``) into
-single pipeline executions on the warm
+One dispatcher thread takes whatever is queued on the
+:class:`~repro.serve.broker.AdmissionQueue` the moment it is free, groups
+compatible requests (equal :class:`~repro.serve.requests.ServicePlan`
+``group_key``) into single pipeline executions on the warm
 :class:`~repro.serve.session.SessionPool`, and demultiplexes each
 execution's result to every member request's future.  Where a service
 opts into **request fusion** (``ServicePlan.fuse_key``), groups with
@@ -67,8 +67,6 @@ class ServerOptions:
     block_timeout: float | None = None
     #: micro-batch budget: at most this many requests per dispatch
     max_batch: int = 16
-    #: seconds the batcher waits for followers after the first request
-    batch_deadline: float = 0.005
     #: default per-request deadline (seconds from admission; None = none)
     default_deadline: float | None = None
     #: seconds stop(drain=True) lets the dispatcher finish queued work
@@ -108,10 +106,6 @@ class ServerOptions:
             )
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_deadline < 0:
-            raise ValueError(
-                f"batch_deadline must be >= 0, got {self.batch_deadline}"
-            )
         if self.default_deadline is not None and self.default_deadline <= 0:
             raise ValueError(
                 f"default_deadline must be > 0 or None, got {self.default_deadline}"
@@ -191,6 +185,8 @@ class PipelineServer:
             block_timeout=self.options.block_timeout,
         )
         self._dispatcher: threading.Thread | None = None
+        #: start() time and seconds spent in _run_batch since (busy share)
+        self._t_started = self._busy_seconds = 0.0
         self._stop = threading.Event()
         self._draining = False
         self._listener: Any = None
@@ -206,6 +202,7 @@ class PipelineServer:
             engine=self.options.engine_options.engine,
             services=sorted(self.services),
         )
+        self._t_started = time.perf_counter()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )
@@ -352,14 +349,13 @@ class PipelineServer:
     # -- dispatcher ----------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
-            batch = self.queue.collect_batch(
-                self.options.max_batch, self.options.batch_deadline
-            )
+            batch = self.queue.collect_batch(self.options.max_batch)
             if not batch:
                 if self.queue.closed and len(self.queue) == 0:
                     return  # graceful drain complete
                 continue
             self.metrics.record_dispatch(len(self.queue), len(batch))
+            t0 = time.perf_counter()
             try:
                 self._run_batch(batch)
             except Exception:  # noqa: BLE001 - keep serving
@@ -369,6 +365,7 @@ class PipelineServer:
                     if not pending.done():
                         self.metrics.record_error()
                         self._finish(pending, status="error", error=detail)
+            self._busy_seconds += time.perf_counter() - t0
 
     def _stage(
         self,
@@ -445,37 +442,31 @@ class PipelineServer:
         # path.  Each group keeps its identity — it becomes one *lane* of
         # the fused execution — so identical-param requests still coalesce
         # first and the lane count is the number of distinct param sets.
-        solo: list[str] = []
+        units: list[list[str]] = []  # one execution each
         buckets: dict[tuple[str, str], list[str]] = {}
         for key in groups:
             plan = plans[key]
             if plan.fuse_key is None or plan.fuse is None:
                 self.metrics.record_fuse_bypass("unsupported")
-                solo.append(key)
+                units.append([key])
             elif not self.options.fuse:
                 self.metrics.record_fuse_bypass("disabled")
-                solo.append(key)
+                units.append([key])
             else:
                 buckets.setdefault((plan.service, plan.fuse_key), []).append(key)
 
-        fused_units: list[list[str]] = []
         for keys in buckets.values():
             # chunk wide buckets at the lane cap; a leftover chunk of one
             # group collapses back to plain coalescing
             for i in range(0, len(keys), self.options.max_fuse_lanes):
-                chunk = keys[i : i + self.options.max_fuse_lanes]
-                if len(chunk) == 1:
+                units.append(keys[i : i + self.options.max_fuse_lanes])
+                if len(units[-1]) == 1:
                     self.metrics.record_fuse_bypass("single-lane")
-                    solo.append(chunk[0])
-                else:
-                    fused_units.append(chunk)
 
-        for key in solo:
-            self._execute_group(plans[key], groups[key], len(batch))
-        for chunk in fused_units:
-            self._execute_fused(
-                [plans[key] for key in chunk],
-                [groups[key] for key in chunk],
+        for unit in units:
+            self._execute_unit(
+                [plans[key] for key in unit],
+                [groups[key] for key in unit],
                 len(batch),
             )
 
@@ -502,33 +493,20 @@ class PipelineServer:
                 live.append(pending)
         return live
 
-    def _execute_group(
-        self,
-        plan: ServicePlan,
-        members: list[PendingResponse],
-        batch_size: int,
-    ) -> None:
-        """The classic path: one equal-``group_key`` group, one execution."""
-        if self._before_execute is not None:
-            self._before_execute(plan)  # test hook: injected dispatch stall
-        members = self._sweep_expired(members)
-        if not members:
-            return  # nothing left to execute: no cache/engine charge
-        self._run_group_swept(plan, members, batch_size)
-
-    def _execute_fused(
+    def _execute_unit(
         self,
         lane_plans: list[ServicePlan],
         lane_members: list[list[PendingResponse]],
         batch_size: int,
     ) -> None:
-        """Fuse one bucket of distinct-param groups into a lane-batched
-        plan, execute it once, and demux per-lane values and errors."""
+        """Execute one unit once: a single equal-``group_key`` group, or a
+        bucket of distinct-param groups fused into a lane-batched plan
+        whose per-lane values and errors are demultiplexed."""
         if self._before_execute is not None:
             self._before_execute(lane_plans[0])  # test hook: dispatch stall
         # sweep per lane: a lane whose every member expired during the
-        # stall window is dropped from the fused run entirely — it is
-        # neither executed nor charged
+        # stall window is dropped from the run entirely — it is neither
+        # executed nor charged
         live_plans: list[ServicePlan] = []
         live_members: list[list[PendingResponse]] = []
         for plan, members in zip(lane_plans, lane_members):
@@ -539,8 +517,9 @@ class PipelineServer:
         if not live_plans:
             return
         if len(live_plans) == 1:
-            # expiry collapsed the bucket to one param set: no fusion left
-            self.metrics.record_fuse_bypass("single-lane")
+            if len(lane_plans) > 1:
+                # expiry collapsed the bucket to one param set: no fusion left
+                self.metrics.record_fuse_bypass("single-lane")
             self._run_group_swept(live_plans[0], live_members[0], batch_size)
             return
         try:
@@ -623,8 +602,8 @@ class PipelineServer:
         members: list[PendingResponse],
         batch_size: int,
     ) -> None:
-        """_execute_group minus the stall hook and deadline sweep — for
-        members that already survived the fused path's sweep."""
+        """One group, one execution — for members that already survived
+        _execute_unit's stall hook and deadline sweep."""
         t0 = time.perf_counter()
         for pending in members:
             self._stage(
@@ -723,7 +702,9 @@ class PipelineServer:
     def stats(self, deep: bool = False) -> dict[str, object]:
         """The ``stats`` payload: serving counters, percentiles, cache.
         ``deep=True`` adds the full windowed registry view (per-kind and
-        per-stage percentiles over the 1 s / 10 s / 60 s windows)."""
+        per-stage percentiles over the 1 s / 10 s / 60 s windows) and
+        ``dispatcher_busy_share``, the fraction of wall time since
+        ``start()`` the dispatcher spent serving batches."""
         snapshot = self.metrics.snapshot(deep=deep)
         snapshot["plan_cache"] = {
             "entries": len(self.cache),
@@ -733,6 +714,10 @@ class PipelineServer:
         snapshot["engine"] = self.options.engine_options.engine
         snapshot["engine_runs"] = self.pool.session.runs
         if deep:
+            uptime = time.perf_counter() - self._t_started
+            snapshot["dispatcher_busy_share"] = (
+                self._busy_seconds / uptime if self._t_started else 0.0
+            )
             # the process engine's last ``worker_pool`` note: forks,
             # reforks and why, order/arena bytes of the last epoch
             pool_note = self.metrics.trace.meta.get("engine.worker_pool")

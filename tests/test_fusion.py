@@ -25,10 +25,13 @@ from repro.datacutter import EngineOptions
 from repro.serve import (
     LocalClient,
     PipelineServer,
+    Request,
     Response,
     ServerOptions,
     oneshot,
 )
+
+from .serve_gates import GatedService, hold_first_batch
 
 # small workloads: fusion semantics, not throughput, are under test here
 KNN_KW = dict(n_points=2_000, num_packets=3)
@@ -198,18 +201,29 @@ class TestFusionProtocol:
 
 
 def _serve_burst(service_kw, server_kw, bodies, engine="threaded"):
+    """Serve ``bodies`` as one batch: the dispatcher's first batch is held
+    until the whole burst is queued."""
     options = ServerOptions(
         engine_options=EngineOptions(engine=engine, timeout=300.0),
         max_batch=max(16, len(bodies)),
-        batch_deadline=0.05,
         max_queue=4 * max(16, len(bodies)),
         **server_kw,
     )
-    with PipelineServer([make_knn_service(**service_kw)], options) as server:
+    server = PipelineServer([make_knn_service(**service_kw)], options)
+    hold_first_batch(server, len(bodies))
+    with server:
         with LocalClient(server, timeout=600.0) as client:
             responses = client.burst([("knn", b) for b in bodies])
             stats = client.stats()
     return responses, stats
+
+
+def _held_server(services, n: int) -> PipelineServer:
+    """A not-yet-started server whose first batch is the first ``n``
+    requests submitted to it."""
+    server = PipelineServer(services, ServerOptions(max_batch=16))
+    hold_first_batch(server, n)
+    return server
 
 
 class TestFusedServing:
@@ -221,9 +235,9 @@ class TestFusedServing:
         unfused, ustats = _serve_burst(KNN_KW, {"fuse": False}, bodies, engine)
         assert all(r.ok for r in fused), [r.error for r in fused if not r.ok][:1]
         assert all(r.ok for r in unfused)
-        assert fstats["fusion"]["fused_executions"] >= 1
+        assert fstats["fusion"]["fused_executions"] == fstats["executions"] == 1
         assert ustats["fusion"]["fused_executions"] == 0
-        assert ustats["executions"] > fstats["executions"]
+        assert ustats["executions"] == n
         service = make_knn_service(**KNN_KW)
         for body, a, b in zip(bodies, fused, unfused):
             assert a.value.tobytes() == b.value.tobytes()
@@ -235,17 +249,31 @@ class TestFusedServing:
     def test_fused_responses_report_lanes(self):
         bodies = distinct_queries(4)
         responses, stats = _serve_burst(KNN_KW, {"fuse": True}, bodies)
-        served_lanes = {r.fused_lanes for r in responses}
-        # the whole burst may land in one batch (4 lanes) or split across
-        # dispatches; every response must report >= 2 fused lanes either
-        # way, and the metrics lane total covers every served lane
-        assert all(lanes >= 2 for lanes in served_lanes), served_lanes
-        assert stats["fusion"]["fused_lanes"] >= max(served_lanes)
-        assert stats["fusion"]["fused_executions"] >= 1
+        # one batch of four distinct queries: one execution of four lanes
+        assert {r.fused_lanes for r in responses} == {4}
+        assert stats["fusion"]["fused_lanes"] == 4
+        assert stats["fusion"]["fused_executions"] == 1
+
+    def test_saturated_dispatcher_fuses_what_queued_meanwhile(self):
+        """Dispatch never waits for followers, yet batches still form
+        under load: what queues while a unit executes is the next batch."""
+        gated = GatedService(make_knn_service(**KNN_KW))
+        with PipelineServer([gated], ServerOptions()) as server:
+            busy = server.submit("knn", {"x": 0.5, "y": 0.5, "z": 0.5})
+            assert gated.entered.wait(30)
+            pendings = [server.submit("knn", b) for b in distinct_queries(8)]
+            gated.release.set()
+            responses = [p.result(120) for p in pendings]
+            assert busy.result(120).ok
+            stats = server.stats()
+        assert all(r.ok for r in responses)
+        assert {r.fused_lanes for r in responses} == {8}
+        assert stats["executions"] == 2  # the busy unit, then the eight
+        assert stats["fusion"]["fused_executions"] == 1
+        assert stats["fusion"]["fused_lanes"] == 8
 
     def test_identical_queries_coalesce_without_fusion(self, knn_service):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.05)
-        with PipelineServer([knn_service], opts) as server:
+        with _held_server([knn_service], 4) as server:
             pendings = [
                 server.submit("knn", {"x": 0.3, "y": 0.3, "z": 0.3})
                 for _ in range(4)
@@ -273,15 +301,13 @@ class TestFusedServing:
             KNN_KW, {"fuse": True, "max_fuse_lanes": 2}, bodies
         )
         assert all(r.ok for r in responses)
-        assert all(r.fused_lanes <= 2 for r in responses)
-        # 4 distinct queries under a 2-lane cap: at least two fused
-        # executions (exactly two when the burst lands in one batch)
-        assert stats["fusion"]["fused_executions"] >= 2
+        assert {r.fused_lanes for r in responses} == {2}
+        # 4 distinct queries in one batch under a 2-lane cap
+        assert stats["fusion"]["fused_executions"] == 2
 
     def test_mixed_batch_fusable_nonfusable_and_stats(self, vm_service):
-        options = ServerOptions(max_batch=16, batch_deadline=0.05)
         services = [make_knn_service(**KNN_KW), vm_service]
-        with PipelineServer(services, options) as server:
+        with _held_server(services, 6) as server:
             pendings = [
                 server.submit("knn", b) for b in distinct_queries(4)
             ]
@@ -310,15 +336,18 @@ class TestFusedServing:
     def test_expired_lane_dropped_from_fused_run_without_charge(
         self, knn_service
     ):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.01)
-        with PipelineServer([knn_service], opts) as server:
-            server._before_execute = lambda plan: time.sleep(0.4)
-            bodies = distinct_queries(3)
-            pendings = [
-                server.submit("knn", bodies[0], deadline=30.0),
-                server.submit("knn", bodies[1], deadline=0.2),  # dies in stall
-                server.submit("knn", bodies[2], deadline=30.0),
-            ]
+        deadline = time.monotonic() + 30.0
+        requests = [
+            Request(kind="knn", body=body, deadline=deadline)
+            for body in distinct_queries(3)
+        ]
+        with _held_server([knn_service], 3) as server:
+            # the middle request dies in the dispatch stall: the hook moves
+            # its deadline into the past where a sleep used to outlast it
+            server._before_execute = lambda plan: setattr(
+                requests[1], "deadline", time.monotonic() - 1.0
+            )
+            pendings = [server.submit_request(r) for r in requests]
             responses = [p.result(120) for p in pendings]
             stats = server.stats()
             runs = server.pool.session.runs
@@ -351,9 +380,8 @@ class TestFusedServing:
             return fused
 
         service.fuse_plans = fuse_and_break
-        opts = ServerOptions(max_batch=8, batch_deadline=0.05)
         bodies = distinct_queries(3)
-        with PipelineServer([service], opts) as server:
+        with _held_server([service], 3) as server:
             pendings = [server.submit("knn", b) for b in bodies]
             responses = [p.result(120) for p in pendings]
             stats = server.stats()
@@ -372,15 +400,14 @@ class TestFusedServing:
         service.fuse_plans = lambda plans: (_ for _ in ()).throw(
             RuntimeError("combiner boom")
         )
-        opts = ServerOptions(max_batch=8, batch_deadline=0.05)
         bodies = distinct_queries(3)
-        with PipelineServer([service], opts) as server:
+        with _held_server([service], 3) as server:
             pendings = [server.submit("knn", b) for b in bodies]
             responses = [p.result(120) for p in pendings]
             stats = server.stats()
         assert all(r.ok for r in responses)
         assert {r.fused_lanes for r in responses} == {0}
-        assert stats["fusion"]["bypass"].get("fuse-error", 0) >= 1
+        assert stats["fusion"]["bypass"].get("fuse-error") == 1
         assert stats["fusion"]["fused_executions"] == 0
         clean = make_knn_service(**KNN_KW)
         for body, r in zip(bodies, responses):
@@ -394,9 +421,8 @@ class TestFusedServing:
 
 class TestFusionAccounting:
     def test_service_time_divided_by_lane_count(self, knn_service):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.05)
         observed = []
-        with PipelineServer([knn_service], opts) as server:
+        with _held_server([knn_service], 4) as server:
             inner = server.queue.observe_service_time
             server.queue.observe_service_time = lambda s, **kw: (
                 observed.append(s),
@@ -406,7 +432,7 @@ class TestFusionAccounting:
             responses = [p.result(120) for p in pendings]
         assert all(r.ok for r in responses)
         lanes = responses[0].fused_lanes
-        assert lanes >= 2
+        assert lanes == 4
         # each lane is charged a 1/lanes share of the fused wall time
         share = responses[0].service_seconds / lanes
         assert any(

@@ -400,7 +400,6 @@ def _burst_matches_oneshot(engine_options, n_requests: int) -> None:
     opts = ServerOptions(
         engine_options=engine_options,
         max_batch=16,
-        batch_deadline=0.02,
         max_queue=2 * n_requests,
     )
     with PipelineServer(services, opts) as server:

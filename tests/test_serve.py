@@ -34,6 +34,8 @@ from repro.serve import (
     oneshot,
 )
 
+from .serve_gates import GatedService, hold_first_batch
+
 # small workloads: serving semantics, not throughput, are under test here
 KNN_KW = dict(n_points=2_000, num_packets=3)
 VM_KW = dict(image_w=96, image_h=96, tile=32, num_packets=3)
@@ -81,7 +83,7 @@ class TestOptionsValidation:
             {"max_queue": 0},
             {"admission": "lifo"},
             {"max_batch": 0},
-            {"batch_deadline": -0.1},
+            {"max_inflight": 0},
             {"default_deadline": 0.0},
             {"drain_timeout": -1.0},
             {"plan_cache_capacity": 0},
@@ -198,6 +200,52 @@ class TestPlanCacheKeying:
         _, hit = cache.compile(src, reg, opts)
         assert not hit
 
+    def test_warm_hit_does_not_refingerprint(self, knn_service, monkeypatch):
+        from repro.serve import plancache
+
+        calls = []
+        for name in ("options_fingerprint", "_registry_fingerprint"):
+            real = getattr(plancache, name)
+            monkeypatch.setattr(
+                plancache,
+                name,
+                lambda arg, _real=real, _name=name: (
+                    calls.append(_name),
+                    _real(arg),
+                )[1],
+            )
+        cache = PlanCache()
+        src, reg, opts = (
+            knn_service.app.source,
+            knn_service.app.registry,
+            knn_service.options,
+        )
+        _, hit = cache.compile(src, reg, opts)
+        assert not hit and sorted(calls) == [
+            "_registry_fingerprint",
+            "options_fingerprint",
+        ]
+        calls.clear()
+        for _ in range(3):
+            assert cache.compile(src, reg, opts)[1]
+        assert calls == []  # a warm hit is a memo lookup, not a re-hash
+
+    def test_memoised_key_misses_on_backend_flip_and_replace(
+        self, knn_service, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        cache = PlanCache()
+        src, reg = knn_service.app.source, knn_service.app.registry
+        opts = knn_service.options.replace(backend="auto")
+        assert not cache.compile(src, reg, opts)[1]
+        assert cache.compile(src, reg, opts)[1]
+        # the same options object, but "auto" now resolves elsewhere
+        monkeypatch.setenv("REPRO_BACKEND", "vector")
+        assert not cache.compile(src, reg, opts)[1]
+        assert cache.compile(src, reg, opts)[1]
+        # a replaced options object keys afresh
+        assert not cache.compile(src, reg, opts.replace(env=cluster_config(2)))[1]
+
 
 # ---------------------------------------------------------------------------
 # Warm engine sessions
@@ -299,13 +347,27 @@ class TestAdmissionQueue:
         assert q.take(0.01) is not None  # queued item still drainable
         assert q.take(0.01) is None  # then closed-and-empty
 
-    def test_collect_batch_respects_budget(self):
-        q = AdmissionQueue(capacity=8)
-        for i in range(5):
-            q.offer(_pending(i))
-        batch = q.collect_batch(max_batch=3, batch_deadline=0.2)
-        assert len(batch) == 3
-        assert len(q) == 2
+    def test_collect_batch_respects_budget(self, monkeypatch):
+        """Work-conserving: a batch is what is queued, taken at once —
+        all of it up to ``max_batch``, or a lone item on its own."""
+        q = AdmissionQueue(capacity=16)
+        waits = []
+        real_wait = q._not_empty.wait
+        monkeypatch.setattr(
+            q._not_empty,
+            "wait",
+            lambda timeout=None: (waits.append(timeout), real_wait(timeout))[1],
+        )
+        items = [_pending(i) for i in range(6)]
+        for item in items:
+            q.offer(item)
+        assert q.collect_batch(max_batch=4) == items[:4]
+        assert q.collect_batch(max_batch=4) == items[4:]
+        lone = _pending(9)
+        q.offer(lone)
+        assert q.collect_batch(max_batch=4) == [lone]
+        assert waits == []
+        assert len(q) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -313,27 +375,11 @@ class TestAdmissionQueue:
 # ---------------------------------------------------------------------------
 
 
-class _GatedService:
-    """Wraps a service so ``plan()`` blocks until released — pins the
-    dispatcher mid-batch so admission tests see a deterministically
-    busy server instead of racing a sleep against compile time."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self.name = inner.name
-        self.entered = threading.Event()
-        self.release = threading.Event()
-
-    def plan(self, body):
-        self.entered.set()
-        assert self.release.wait(60), "gated service never released"
-        return self._inner.plan(body)
-
-
 class TestServer:
     def test_coalescing_one_execution_per_group(self, knn_service):
-        opts = ServerOptions(max_batch=16, batch_deadline=0.25)
-        with PipelineServer([knn_service], opts) as server:
+        server = PipelineServer([knn_service], ServerOptions(max_batch=16))
+        hold_first_batch(server, 6)
+        with server:
             client = LocalClient(server)
             body = {"x": 0.3, "y": 0.3, "z": 0.3}
             responses = client.burst([("knn", body)] * 6)
@@ -346,10 +392,10 @@ class TestServer:
             assert stats["batch_occupancy_mean"] > 1.0
 
     def test_expired_deadline_is_not_served(self, knn_service):
-        opts = ServerOptions(max_batch=4, batch_deadline=0.05)
-        with PipelineServer([knn_service], opts) as server:
+        with PipelineServer([knn_service], ServerOptions(max_batch=4)) as server:
+            # a deadline at the submission instant has passed by dequeue
             response = server.submit(
-                "knn", {"x": 0.1}, deadline=1e-4
+                "knn", {"x": 0.1}, deadline=0.0
             ).result(timeout=30)
             assert response.status == "expired"
             assert not response.ok
@@ -359,12 +405,16 @@ class TestServer:
         (here: an injected dispatch stall) returns status='expired'
         without charging the plan cache or the engine, and the metrics
         count it exactly once."""
-        opts = ServerOptions(max_batch=4, batch_deadline=0.01)
-        with PipelineServer([knn_service], opts) as server:
-            server._before_execute = lambda plan: time.sleep(0.4)
-            response = server.submit(
-                "knn", {"x": 0.1}, deadline=0.2
-            ).result(timeout=30)
+        request = Request(
+            kind="knn", body={"x": 0.1}, deadline=time.monotonic() + 30.0
+        )
+        with PipelineServer([knn_service], ServerOptions(max_batch=4)) as server:
+            # the stall outlasts the deadline: the hook moves it into the
+            # past where a sleep used to wait past it
+            server._before_execute = lambda plan: setattr(
+                request, "deadline", time.monotonic() - 1.0
+            )
+            response = server.submit_request(request).result(timeout=30)
             assert response.status == "expired"
             assert "before execution" in response.error
             stats = server.metrics.snapshot()
@@ -378,10 +428,8 @@ class TestServer:
             assert server.cache.stats.lookups == 0
 
     def test_reject_policy_resolves_future(self, knn_service):
-        gated = _GatedService(knn_service)
-        opts = ServerOptions(
-            admission="reject", max_queue=1, max_batch=1, batch_deadline=0.0
-        )
+        gated = GatedService(knn_service)
+        opts = ServerOptions(admission="reject", max_queue=1, max_batch=1)
         with PipelineServer([gated], opts) as server:
             first = server.submit("knn", {"x": 0.2})
             # the dispatcher holds the first batch inside plan() — the
@@ -396,10 +444,8 @@ class TestServer:
             assert first.result(60).ok and backlog.result(60).ok
 
     def test_shed_oldest_policy_resolves_victim(self, knn_service):
-        gated = _GatedService(knn_service)
-        opts = ServerOptions(
-            admission="shed-oldest", max_queue=1, max_batch=1, batch_deadline=0.0
-        )
+        gated = GatedService(knn_service)
+        opts = ServerOptions(admission="shed-oldest", max_queue=1, max_batch=1)
         with PipelineServer([gated], opts) as server:
             first = server.submit("knn", {"x": 0.2})
             assert gated.entered.wait(30)
@@ -424,19 +470,20 @@ class TestServer:
             server.submit("knn", {})
 
     def test_stop_without_drain_resolves_shutdown(self, knn_service):
-        opts = ServerOptions(max_batch=1, batch_deadline=0.0)
-        server = PipelineServer([knn_service], opts).start()
-        server.submit("knn", {"x": 0.2})
-        time.sleep(0.05)
+        gated = GatedService(knn_service)
+        server = PipelineServer([gated], ServerOptions(max_batch=1)).start()
+        # the gate opens when stop() tells the dispatcher to quit: the
+        # batch in hand finishes, everything still queued is stranded
+        gated.release = server._stop
+        first = server.submit("knn", {"x": 0.2})
+        assert gated.entered.wait(30)
         stranded = [server.submit("knn", {"x": x}) for x in (0.3, 0.4, 0.5)]
         server.stop(drain=False)
-        statuses = {p.result(timeout=10).status for p in stranded}
-        assert statuses <= {"shutdown", "ok"}
-        assert "shutdown" in statuses
+        assert first.result(timeout=10).ok
+        assert {p.result(timeout=10).status for p in stranded} == {"shutdown"}
 
     def test_graceful_drain_serves_backlog(self, knn_service):
-        opts = ServerOptions(max_batch=4, batch_deadline=0.01)
-        server = PipelineServer([knn_service], opts).start()
+        server = PipelineServer([knn_service], ServerOptions(max_batch=4)).start()
         pending = [server.submit("knn", {"x": 0.2}) for _ in range(5)]
         server.stop(drain=True)
         assert all(p.result(timeout=10).ok for p in pending)
@@ -473,7 +520,7 @@ class TestMetrics:
     def test_stats_request_and_jsonl_roundtrip(
         self, knn_service, vm_service, tmp_path
     ):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.05)
+        opts = ServerOptions(max_batch=8)
         with PipelineServer([knn_service, vm_service], opts) as server:
             client = LocalClient(server)
             client.burst(
@@ -515,7 +562,7 @@ class TestObservability:
     """Request tracing, bounded retention, and windowed percentiles."""
 
     def test_stage_spans_linked_to_engine_spans(self, knn_service, vm_service):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.02)
+        opts = ServerOptions(max_batch=8)
         with PipelineServer([knn_service, vm_service], opts) as server:
             client = LocalClient(server)
             responses = client.burst(
@@ -597,7 +644,7 @@ class TestObservability:
     def test_windowed_percentiles_and_autoscale_window(
         self, knn_service, vm_service
     ):
-        opts = ServerOptions(max_batch=8, batch_deadline=0.02)
+        opts = ServerOptions(max_batch=8)
         with PipelineServer([knn_service, vm_service], opts) as server:
             client = LocalClient(server)
             client.burst(
@@ -615,6 +662,16 @@ class TestObservability:
         assert window["latency"]["p99"] >= window["latency"]["p50"] > 0.0
         assert window["queue_depth_max"] >= 1
         assert per_stage["p99"] > 0.0
+
+    def test_dispatcher_busy_share(self, knn_service):
+        with PipelineServer([knn_service], ServerOptions(max_batch=8)) as server:
+            assert server.stats(deep=True)["dispatcher_busy_share"] == 0.0
+            responses = LocalClient(server).burst(
+                [("knn", {"x": 0.1 * i, "y": 0.5, "z": 0.5}) for i in range(4)]
+            )
+            assert all(r.ok for r in responses)
+            share = server.stats(deep=True)["dispatcher_busy_share"]
+        assert 0.0 < share <= 1.0
 
     def test_sampling_thins_spans_not_counters(self):
         from repro.serve.metrics import ServerMetrics
@@ -634,8 +691,7 @@ class TestObservability:
         assert pcts["p50"] > 0.0  # ...but every observation landed
 
     def test_write_jsonl_idempotent(self, knn_service, tmp_path):
-        opts = ServerOptions(max_batch=4, batch_deadline=0.01)
-        with PipelineServer([knn_service], opts) as server:
+        with PipelineServer([knn_service], ServerOptions(max_batch=4)) as server:
             client = LocalClient(server)
             assert client.knn(0.2, 0.2, 0.2).ok
             a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -646,8 +702,7 @@ class TestObservability:
         assert trace.meta["serve.served"] >= 1
 
     def test_prometheus_exposition_via_stats(self, knn_service):
-        opts = ServerOptions(max_batch=4, batch_deadline=0.01)
-        with PipelineServer([knn_service], opts) as server:
+        with PipelineServer([knn_service], ServerOptions(max_batch=4)) as server:
             client = LocalClient(server)
             assert client.knn(0.2, 0.2, 0.2).ok
             text = client.prometheus()
@@ -663,9 +718,7 @@ class TestStatsConcurrency:
         flight must never raise or return an inconsistent snapshot."""
         from repro.serve import RemoteClient
 
-        opts = ServerOptions(
-            max_batch=16, batch_deadline=0.01, fuse=True, max_fuse_lanes=8
-        )
+        opts = ServerOptions(max_batch=16, fuse=True, max_fuse_lanes=8)
         errors: list[BaseException] = []
         snapshots: list[dict] = []
         stop = threading.Event()
@@ -758,8 +811,11 @@ class TestDifferentialBurst:
         services = [knn_service, vm_service]
         requests = _mixed_requests(100)
         baselines = _baselines(services, requests)
-        opts = ServerOptions(max_batch=32, batch_deadline=0.02, max_queue=128)
-        with PipelineServer(services, opts) as server:
+        server = PipelineServer(
+            services, ServerOptions(max_batch=32, max_queue=128)
+        )
+        hold_first_batch(server, len(requests))
+        with server:
             client = LocalClient(server, timeout=600.0)
             responses = client.burst(requests)
             stats = client.stats()
@@ -786,7 +842,6 @@ class TestDifferentialBurst:
         opts = ServerOptions(
             engine_options=EngineOptions(engine="process", timeout=120.0),
             max_batch=30,
-            batch_deadline=0.05,
             max_queue=64,
         )
         with PipelineServer(services, opts) as server:

@@ -55,6 +55,8 @@ from repro.serve.transport import (
     read_frame,
 )
 
+from .serve_gates import hold_first_batch
+
 KNN_KW = dict(n_points=2_000, num_packets=3)
 VM_KW = dict(image_w=96, image_h=96, tile=32, num_packets=3)
 
@@ -71,19 +73,21 @@ def vm_service():
 
 @pytest.fixture()
 def server(knn_service, vm_service):
-    opts = ServerOptions(max_batch=16, batch_deadline=0.02, max_queue=128)
+    opts = ServerOptions(max_batch=16, max_queue=128)
     with PipelineServer([knn_service, vm_service], opts) as srv:
         yield srv
+
+
+def _client(transport: str, server) -> Client:
+    if transport == "local":
+        return LocalClient(server, timeout=120.0)
+    return RemoteClient(server.listen(), timeout=120.0)
 
 
 @pytest.fixture(params=["local", "remote"])
 def any_client(request, server):
     """The same conformance suite against either transport."""
-    if request.param == "local":
-        client = LocalClient(server, timeout=120.0)
-    else:
-        client = RemoteClient(server.listen(), timeout=120.0)
-    with client:
+    with _client(request.param, server) as client:
         yield client
 
 
@@ -300,15 +304,17 @@ class TestClientConformance:
         pending = any_client.submit("knn", {"x": 0.3, "y": 0.3, "z": 0.3})
         assert pending.result(60).value.tobytes() == response.value.tobytes()
 
-    def test_burst_coalesces(self, any_client):
-        responses = any_client.burst(
-            [("knn", {"x": 0.4, "y": 0.4, "z": 0.4})] * 6
-        )
+    @pytest.mark.parametrize("transport", ["local", "remote"])
+    def test_burst_coalesces(self, transport, knn_service):
+        server = PipelineServer([knn_service], ServerOptions(max_batch=16))
+        hold_first_batch(server, 6)
+        with server, _client(transport, server) as client:
+            responses = client.burst([("knn", {"x": 0.4, "y": 0.4, "z": 0.4})] * 6)
         assert all(r.ok for r in responses)
         assert {r.value.tobytes() for r in responses} == {
             responses[0].value.tobytes()
         }
-        assert max(r.group_size for r in responses) > 1
+        assert {r.group_size for r in responses} == {6}
 
     def test_stats_surface(self, any_client):
         any_client.knn(0.5, 0.5, 0.5)
@@ -349,8 +355,7 @@ class TestRemoteClientLifecycle:
             RemoteClient((host, port), connect_timeout=0.5)
 
     def test_server_stop_fails_inflight_remotely(self, knn_service):
-        opts = ServerOptions(max_batch=1, batch_deadline=0.0)
-        server = PipelineServer([knn_service], opts).start()
+        server = PipelineServer([knn_service], ServerOptions(max_batch=1)).start()
         client = RemoteClient(server.listen(), timeout=30.0)
         pending = [
             client.submit("knn", {"x": x, "y": x, "z": x})
@@ -414,7 +419,7 @@ class TestHostileInput:
     def test_oversized_frame_gets_error_and_connection_survives(
         self, knn_service
     ):
-        opts = ServerOptions(max_frame_bytes=4096, batch_deadline=0.0)
+        opts = ServerOptions(max_frame_bytes=4096)
         with PipelineServer([knn_service], opts) as server:
             addr = server.listen()
             sock, rfile = _raw_connection(addr)
@@ -520,7 +525,7 @@ class TestHostileInput:
         # regression: an oversized request used to reach the server, come
         # back as an unattributed T_ERROR (cid=None), and spuriously fail
         # every other request in flight on the connection
-        opts = ServerOptions(max_frame_bytes=8192, max_batch=4, batch_deadline=0.02)
+        opts = ServerOptions(max_frame_bytes=8192, max_batch=4)
         with PipelineServer([knn_service], opts) as server:
             with RemoteClient(server.listen(), timeout=60.0) as client:
                 assert client.max_frame == 8192
@@ -555,9 +560,7 @@ class TestHostileInput:
 
 class TestFlowControl:
     def test_rejection_maps_to_wire_retry_after(self, knn_service):
-        opts = ServerOptions(
-            admission="reject", max_queue=1, max_batch=1, batch_deadline=0.0
-        )
+        opts = ServerOptions(admission="reject", max_queue=1, max_batch=1)
         with PipelineServer([knn_service], opts) as server:
             with RemoteClient(server.listen(), timeout=60.0) as client:
                 pending = [
@@ -574,7 +577,7 @@ class TestFlowControl:
 
     def test_inflight_bound_backpressures_not_drops(self, knn_service):
         # tiny per-connection window; every request must still be served
-        opts = ServerOptions(max_batch=8, batch_deadline=0.01, max_inflight=2)
+        opts = ServerOptions(max_batch=8, max_inflight=2)
         with PipelineServer([knn_service], opts) as server:
             with RemoteClient(server.listen(), timeout=120.0) as client:
                 responses = client.burst(
@@ -628,7 +631,6 @@ class TestTracingModes:
     def mode_server(self, request, knn_service, vm_service):
         opts = ServerOptions(
             max_batch=16,
-            batch_deadline=0.02,
             max_queue=128,
             trace_requests=(request.param == "traced"),
         )
@@ -690,8 +692,12 @@ class TestRemoteEqualsLocal:
         self, knn_service, vm_service
     ):
         requests = _mixed_requests(100)
-        opts = ServerOptions(max_batch=32, batch_deadline=0.02, max_queue=128)
-        with PipelineServer([knn_service, vm_service], opts) as server:
+        server = PipelineServer(
+            [knn_service, vm_service], ServerOptions(max_batch=32, max_queue=128)
+        )
+        # the local burst's first 32 requests are one batch
+        hold_first_batch(server, len(requests))
+        with server:
             local = LocalClient(server, timeout=600.0)
             local_responses = local.burst(requests)
             with RemoteClient(server.listen(), timeout=600.0) as remote:
@@ -708,6 +714,7 @@ class TestRemoteEqualsLocal:
         # the remote burst went through the same serving machinery
         assert stats["transport"]["frames_in"] >= 100
         assert stats["executions"] < 2 * len(requests)
+        assert stats["batch_occupancy_mean"] > 1.0
         assert stats["plan_cache_hits"] > 0
 
     def test_process_engine_burst_byte_identical(self, knn_service, vm_service):
@@ -715,7 +722,6 @@ class TestRemoteEqualsLocal:
         opts = ServerOptions(
             engine_options=EngineOptions(engine="process", timeout=120.0),
             max_batch=30,
-            batch_deadline=0.05,
             max_queue=64,
         )
         with PipelineServer([knn_service, vm_service], opts) as server:
