@@ -32,15 +32,15 @@ responses are verified byte-identical to one-shot baselines, and the
 fused-vs-coalesced throughput ratio carries its own floor (>=3x local,
 >=1.5x advisory on CI).
 
-A fourth mode isolates the **resident process-engine worker pool**:
-sequential (unbatched) requests against two otherwise-identical
-process-engine servers, one with ``EngineOptions(resident=False)``
-(fork-per-run: every request forks, runs, and joins its worker
-processes) and one with the default resident pool (workers forked once,
-each request shipped as a work epoch over the order channels).  The
-per-request latency medians are compared — the resident pool must be
->=1.5x lower locally (advisory 1.2x on CI) — and both modes land in the
-JSON report.
+A fourth mode isolates the **process-engine worker pool**: sequential
+(unbatched) requests answered two ways on the process engine.
+Fork-per-run is a one-shot ``run_pipeline`` per request over
+plan-cache-compiled specs: every request forks, runs, and joins its
+worker processes.  The resident side is a process-engine server, whose
+pool is forked once and ships each request as a work epoch over the
+order channels.  The per-request latency medians are compared — the
+resident pool must be >=1.5x lower locally (advisory 1.2x on CI) — and
+both modes land in the JSON report.
 
 Run standalone with
 ``PYTHONPATH=src python benchmarks/bench_serve_throughput.py [out.json]``
@@ -59,8 +59,14 @@ import time
 import pytest
 
 from repro.apps import make_knn_service, make_vmscope_service
-from repro.datacutter import EngineOptions
-from repro.serve import LocalClient, PipelineServer, RemoteClient, ServerOptions
+from repro.datacutter import EngineOptions, run_pipeline
+from repro.serve import (
+    LocalClient,
+    PipelineServer,
+    PlanCache,
+    RemoteClient,
+    ServerOptions,
+)
 from repro.serve.session import oneshot
 
 #: Every ratio below is a quotient of two paths that both run units of
@@ -290,12 +296,23 @@ def measure_fusion() -> dict:
 N_LATENCY = 20
 
 
+def _latency_row(latencies: list[float]) -> dict:
+    latencies = sorted(latencies)
+    return {
+        "requests": len(latencies),
+        "median_ms": round(statistics.median(latencies) * 1e3, 2),
+        "p95_ms": round(latencies[int(0.95 * (len(latencies) - 1))] * 1e3, 2),
+        "mean_ms": round(statistics.fmean(latencies) * 1e3, 2),
+    }
+
+
 def measure_resident_latency() -> dict:
     """Median per-request latency, fork-per-run vs resident worker pool.
 
-    Requests are issued sequentially with ``max_batch=1`` so each one is
-    a full engine run — the quantity under test is the per-request warm
-    path (fork+exec+join vs work-epoch dispatch), not batching."""
+    Requests are issued sequentially — one-shot runs on one side, a
+    ``max_batch=1`` server on the other — so each one is a full engine
+    run: the quantity under test is the per-request warm path
+    (fork+exec+join vs work-epoch dispatch), not batching."""
     requests = mixed_burst(N_LATENCY)
     by_kind = {s.name: s for s in make_services()}
     baselines = {}
@@ -304,39 +321,50 @@ def measure_resident_latency() -> dict:
         if key not in baselines:
             baselines[key] = oneshot(by_kind[kind].plan(body))
 
-    modes = {}
-    for mode, resident in (("fork_per_run", False), ("resident", None)):
-        engine_options = EngineOptions(
-            engine="process", timeout=300.0, resident=resident
+    def check(mode: str, kind: str, body: dict, value) -> None:
+        expect = baselines[(kind, tuple(sorted(body.items())))]
+        assert value.tobytes() == expect.tobytes(), (
+            f"{mode} response ({kind}) diverged from one-shot baseline"
         )
-        options = ServerOptions(
-            engine_options=engine_options,
-            max_batch=1,
-            max_queue=4 * N_LATENCY,
-        )
-        with PipelineServer(make_services(), options) as server:
-            # warmup outside the timed loop: fills the plan cache in both
-            # modes and forks the resident pool in resident mode, so the
-            # comparison isolates the steady-state per-request cost
-            for kind, body in requests[:2]:
-                assert server.request(kind, body, timeout=600.0).ok
-            latencies = []
-            for kind, body in requests:
-                t0 = time.perf_counter()
-                response = server.request(kind, body, timeout=600.0)
-                latencies.append(time.perf_counter() - t0)
-                assert response.ok, (response.status, response.error)
-                expect = baselines[(kind, tuple(sorted(body.items())))]
-                assert response.value.tobytes() == expect.tobytes(), (
-                    f"{mode} response ({kind}) diverged from one-shot baseline"
-                )
-        latencies.sort()
-        modes[mode] = {
-            "requests": len(latencies),
-            "median_ms": round(statistics.median(latencies) * 1e3, 2),
-            "p95_ms": round(latencies[int(0.95 * (len(latencies) - 1))] * 1e3, 2),
-            "mean_ms": round(statistics.fmean(latencies) * 1e3, 2),
-        }
+
+    engine_options = EngineOptions(engine="process", timeout=300.0)
+
+    # fork-per-run: a one-shot process run per request, compiled through
+    # a plan cache like the server's, and warmed the same way
+    cache = PlanCache()
+
+    def fork_per_run(kind: str, body: dict):
+        plan = by_kind[kind].plan(body)
+        result, _hit = cache.compile(plan.source, plan.registry, plan.options)
+        specs = result.pipeline.specs(plan.packets, plan.params, plan.widths)
+        return plan.extract(run_pipeline(specs, engine_options).payloads)
+
+    for kind, body in requests[:2]:
+        fork_per_run(kind, body)
+    latencies = []
+    for kind, body in requests:
+        t0 = time.perf_counter()
+        value = fork_per_run(kind, body)
+        latencies.append(time.perf_counter() - t0)
+        check("fork_per_run", kind, body, value)
+    modes = {"fork_per_run": _latency_row(latencies)}
+
+    options = ServerOptions(
+        engine_options=engine_options, max_batch=1, max_queue=4 * N_LATENCY
+    )
+    with PipelineServer(make_services(), options) as server:
+        # warmup outside the timed loop: fills the plan cache and forks
+        # the pool, so the comparison isolates the steady-state cost
+        for kind, body in requests[:2]:
+            assert server.request(kind, body, timeout=600.0).ok
+        latencies = []
+        for kind, body in requests:
+            t0 = time.perf_counter()
+            response = server.request(kind, body, timeout=600.0)
+            latencies.append(time.perf_counter() - t0)
+            assert response.ok, (response.status, response.error)
+            check("resident", kind, body, response.value)
+    modes["resident"] = _latency_row(latencies)
     modes["median_latency_speedup"] = round(
         modes["fork_per_run"]["median_ms"] / modes["resident"]["median_ms"], 2
     )

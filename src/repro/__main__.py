@@ -719,6 +719,29 @@ def _cmd_apps(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    from .datacutter.engine import ENGINES
+
+    parser.add_argument(
+        "--engine",
+        choices=sorted(ENGINES),
+        default="threaded",
+        help="execution engine (process = one OS process per filter copy)",
+    )
+
+
+def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
+    from .codegen.vectorize import BACKENDS
+
+    parser.add_argument(
+        "--backend",
+        choices=["auto", *BACKENDS],
+        default="auto",
+        help="codegen backend for foreach bodies (vector = columnar NumPy; "
+        "auto = $REPRO_BACKEND or scalar)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -743,12 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME=VALUE",
         help="workload profile parameter (repeatable)",
     )
-    p_compile.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
+    _add_backend_flag(p_compile)
     p_compile.add_argument(
         "--emit", action="store_true", help="print generated filter sources"
     )
@@ -756,12 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="compile + execute one application")
     p_run.add_argument("app", choices=sorted(_APP_FACTORIES))
-    p_run.add_argument(
-        "--engine",
-        choices=["threaded", "process"],
-        default="threaded",
-        help="execution engine (process = one OS process per filter copy)",
-    )
+    _add_engine_flag(p_run)
     p_run.add_argument(
         "--version",
         choices=["Default", "Decomp-Comp", "Decomp-Manual"],
@@ -771,12 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--width", type=int, default=1, help="pipeline width (w-w-1 config)"
     )
-    p_run.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
+    _add_backend_flag(p_run)
     p_run.add_argument(
         "--packets", type=int, default=8, help="number of input packets"
     )
@@ -786,12 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one application with tracing and export the trace"
     )
     p_trace.add_argument("app", choices=sorted(_APP_FACTORIES))
-    p_trace.add_argument(
-        "--engine",
-        choices=["threaded", "process"],
-        default="threaded",
-        help="execution engine to trace",
-    )
+    _add_engine_flag(p_trace)
     p_trace.add_argument(
         "--version",
         choices=["Default", "Decomp-Comp", "Decomp-Manual"],
@@ -810,12 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="trace.json",
         help="output path (default trace.json)",
     )
-    p_trace.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
+    _add_backend_flag(p_trace)
     p_trace.add_argument(
         "--format",
         choices=["chrome", "jsonl"],
@@ -830,12 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a fault into one run and verify recovery heals it",
     )
     p_chaos.add_argument("app", choices=sorted(_APP_FACTORIES))
-    p_chaos.add_argument(
-        "--engine",
-        choices=["threaded", "process"],
-        default="threaded",
-        help="execution engine to inject into",
-    )
+    _add_engine_flag(p_chaos)
     p_chaos.add_argument(
         "--version",
         choices=["Default", "Decomp-Comp", "Decomp-Manual"],
@@ -848,12 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--packets", type=int, default=8, help="number of input packets"
     )
-    p_chaos.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
+    _add_backend_flag(p_chaos)
     p_chaos.add_argument(
         "--filter",
         default=None,
@@ -890,18 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="reproduce evaluation figures")
     p_fig.add_argument("names", nargs="*", help="fig5 .. fig12 (default all)")
-    p_fig.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
-    p_fig.add_argument(
-        "--engine",
-        choices=["threaded", "process"],
-        default="threaded",
-        help="execution engine for the measured runs",
-    )
+    _add_backend_flag(p_fig)
+    _add_engine_flag(p_fig)
     p_fig.set_defaults(fn=_cmd_figures)
 
     p_serve = sub.add_parser(
@@ -936,12 +914,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="wire-frame size cap in bytes (default 64 MiB); oversized "
         "frames get a structured error response",
     )
-    p_serve.add_argument(
-        "--engine",
-        choices=["threaded", "process"],
-        default="threaded",
-        help="execution engine behind the warm session",
-    )
+    _add_engine_flag(p_serve)
     p_serve.add_argument(
         "--requests", type=int, default=60, help="burst size (default 60)"
     )
@@ -976,12 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="cap on lanes per fused execution (default 32)",
     )
-    p_serve.add_argument(
-        "--backend",
-        choices=["auto", "scalar", "vector"],
-        default="auto",
-        help="codegen backend for foreach bodies (vector = columnar NumPy; auto = $REPRO_BACKEND or scalar)",
-    )
+    _add_backend_flag(p_serve)
     p_serve.add_argument(
         "--seed", type=int, default=7, help="burst RNG seed (deterministic)"
     )

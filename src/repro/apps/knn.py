@@ -490,7 +490,7 @@ def _knn_extract_all(payloads: list) -> list[np.ndarray]:
 
 
 class KnnService:
-    """Serves k-NN queries over one resident point dataset.
+    """Serves k-NN queries over one loaded point dataset.
 
     The compiled pipeline takes the query point as *runtime parameters*
     (``qx``/``qy``/``qz``), so every query shares a single plan-cache

@@ -312,7 +312,7 @@ def _vmscope_extract(payloads: list) -> np.ndarray:
 
 
 class VmscopeService:
-    """Serves virtual-microscope region queries over one resident slide.
+    """Serves virtual-microscope region queries over one loaded slide.
 
     Unlike knn, the query shapes the *compilation*: the output-image
     reduction class and the workload profile (selectivity, block sizes)

@@ -396,7 +396,7 @@ class FilterGenerator:
             name=name,
             unit=j,
             source=source,
-            # anchor for pickling: resident process-engine workers receive
+            # anchor for pickling: process-engine pool workers receive
             # rebound FilterSpecs over their order channels, and the spec's
             # factory must resolve by reference in the already-forked child
             cls=register_generated(namespace[name]),

@@ -57,14 +57,6 @@ class CompileOptions:
     #: 'Class.method' -> (profile -> OpCount) cost summaries for methods
     #: backed by native runtime classes (reduction updates)
     method_costs: dict[str, object] = field(default_factory=dict)
-    #: default execution engine for CompilationResult.execute
-    #: ("threaded" | "process"; see repro.datacutter.engine)
-    engine: str = "threaded"
-    #: full default run configuration for CompilationResult.execute — an
-    #: EngineOptions carrying retry policy, fault plan, trace sink, etc.
-    #: When set it wins over the bare ``engine`` name above; kept untyped
-    #: to avoid importing the runtime at compile time
-    engine_options: object | None = None
     #: codegen backend for element loops: "scalar" (the paper's per-record
     #: shape), "vector" (columnar NumPy, repro.codegen.vectorize), or
     #: "auto" (consult the REPRO_BACKEND environment variable)
@@ -91,49 +83,16 @@ class CompilationResult:
     pipeline: CompiledPipeline
     options: CompileOptions
 
-    def execute(
-        self,
-        packets,
-        params: dict | None = None,
-        widths=None,
-        options=None,
-        **legacy,
-    ):
-        """Run the compiled pipeline on an execution engine.
+    def execute(self, packets, params: dict | None = None, widths=None, options=None):
+        """Run the compiled pipeline once on an execution engine.
 
-        ``options`` is an :class:`~repro.datacutter.engine.EngineOptions`;
-        when omitted, the compile-time default run configuration is used
-        (``CompileOptions.engine_options`` if set, else an EngineOptions
-        built from the bare ``CompileOptions.engine`` name).  Legacy
-        keyword arguments (``engine=``, ``queue_capacity=``,
-        ``timeout=``, ...) still work but emit a
-        :class:`DeprecationWarning`.  Returns the engine's
-        :class:`~repro.datacutter.runtime.RunResult`.
-        """
-        from ..datacutter.engine import (
-            EngineOptions,
-            coerce_engine_options,
-            run_pipeline,
-        )
+        ``options`` is an :class:`~repro.datacutter.engine.EngineOptions`
+        (default ``EngineOptions()``: the threaded engine).  Returns the
+        engine's :class:`~repro.datacutter.runtime.RunResult`."""
+        from ..datacutter.engine import run_pipeline
 
-        if options is None and not legacy:
-            if self.options.engine_options is not None:
-                options = self.options.engine_options
-            else:
-                options = EngineOptions(engine=self.options.engine)
-        elif not isinstance(options, EngineOptions):
-            # legacy call: engine="..." / queue_capacity=... kwargs, or the
-            # old positional-string engine argument
-            if options is None:
-                legacy.setdefault("engine", self.options.engine)
-            options = coerce_engine_options(options, legacy, stacklevel=3)
-        elif legacy:
-            raise TypeError(
-                "pass either options=EngineOptions(...) or legacy keyword "
-                f"arguments, not both (got {sorted(legacy)})"
-            )
         specs = self.pipeline.specs(packets, params, widths)
-        return run_pipeline(specs, options=options)
+        return run_pipeline(specs, options)
 
     def report(self) -> str:
         """Human-readable compilation report (atoms, volumes, plan)."""

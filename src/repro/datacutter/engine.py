@@ -13,16 +13,16 @@ filter copies run:
   for CPU-bound pipelines at the cost of process startup and one
   copy-in/copy-out per large buffer.
 
-:class:`EngineOptions` is the single way to configure a run::
+Two objects configure and run everything: :class:`EngineOptions` says
+how, an :class:`EngineSession` owns the engine across units of work::
 
-    run_pipeline(specs, EngineOptions(engine="process", trace=Trace()))
+    with EngineSession(EngineOptions(engine="process")) as session:
+        for specs in work:
+            session.run(specs)
 
-It replaces the scattered ``queue_capacity=``/``engine=``/``timeout=``
-keyword arguments previously threaded through ``run_pipeline``,
-``make_engine``, ``CompilationResult.execute``, and the experiment
-harness.  The legacy keywords still work for one release through a
-deprecation shim (:func:`coerce_engine_options`) that emits
-``DeprecationWarning``.
+:func:`run_pipeline` is a session of one unit of work, so a one-shot run
+and a served request go through the same lifecycle: an engine lives
+until its ``close()``.
 
 The :data:`ENGINES` registry is open so later substrates (multi-host
 transport, work stealing) plug in without touching call sites; a factory
@@ -32,7 +32,6 @@ takes ``(specs, options)`` and returns an :class:`Engine`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
@@ -51,6 +50,12 @@ class Engine(Protocol):
     specs: list[FilterSpec]
 
     def run(self) -> RunResult:  # pragma: no cover - protocol
+        ...
+
+    def rebind(self, specs: Sequence[FilterSpec]) -> None:  # pragma: no cover
+        ...
+
+    def close(self) -> None:  # pragma: no cover - protocol
         ...
 
 
@@ -90,13 +95,6 @@ class EngineOptions:
     #: deterministic fault injection for chaos testing; a FaultPlan or a
     #: plain iterable of FaultSpec (normalized here); None disables
     faults: FaultPlan | Sequence[FaultSpec] | None = None
-    #: process engine: keep the forked worker pool resident across runs.
-    #: ``None`` (the default) is *auto*: an :class:`EngineSession` retains
-    #: the pool, one-shot :func:`run_pipeline` calls fork per run.
-    #: ``True`` forces residency even standalone (caller must ``close()``);
-    #: ``False`` forces fork-per-run even under a session — the knob the
-    #: serving latency benchmark uses for its comparison baseline.
-    resident: bool | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.engine, str) or not self.engine:
@@ -132,59 +130,11 @@ class EngineOptions:
             raise TypeError(
                 f"retry must be a RetryPolicy or None, got {self.retry!r}"
             )
-        if self.resident is not None and not isinstance(self.resident, bool):
-            raise TypeError(
-                f"resident must be True, False, or None (auto), "
-                f"got {self.resident!r}"
-            )
         object.__setattr__(self, "faults", FaultPlan.coerce(self.faults))
 
     def replace(self, **changes: Any) -> "EngineOptions":
         """A copy with the given fields changed."""
         return dataclasses.replace(self, **changes)
-
-
-_OPTION_FIELDS = frozenset(f.name for f in dataclasses.fields(EngineOptions))
-
-
-def coerce_engine_options(
-    options: EngineOptions | str | int | None,
-    legacy: dict[str, Any],
-    stacklevel: int = 3,
-) -> EngineOptions:
-    """Deprecation shim: fold legacy keyword arguments into EngineOptions.
-
-    Accepts the pre-redesign calling conventions — ``engine="process"`` /
-    ``queue_capacity=16`` keywords, a bare engine name where ``options``
-    goes (``make_engine(specs, "process")``), or a bare capacity int
-    (``run_pipeline(specs, 16)``) — emitting ``DeprecationWarning`` for
-    each.  Passing both an :class:`EngineOptions` and legacy keywords is
-    an error rather than a guess."""
-    if isinstance(options, str):
-        legacy = {"engine": options, **legacy}
-        options = None
-    elif isinstance(options, int):
-        legacy = {"queue_capacity": options, **legacy}
-        options = None
-    if options is not None:
-        if legacy:
-            raise TypeError(
-                "pass either options=EngineOptions(...) or legacy keyword "
-                f"arguments, not both (got {sorted(legacy)})"
-            )
-        return options
-    if not legacy:
-        return EngineOptions()
-    unknown = set(legacy) - _OPTION_FIELDS
-    if unknown:
-        raise TypeError(f"unknown engine option(s): {sorted(unknown)}")
-    warnings.warn(
-        f"engine keyword arguments {sorted(legacy)} are deprecated; pass "
-        "options=EngineOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return EngineOptions(**legacy)
 
 
 def _make_threaded(specs: Sequence[FilterSpec], opts: EngineOptions) -> Engine:
@@ -211,7 +161,6 @@ def _make_process(specs: Sequence[FilterSpec], opts: EngineOptions) -> Engine:
         retry=opts.retry,
         faults=opts.faults,
         post_eos_timeout=opts.join_timeout,
-        resident=opts.resident is True,
     )
 
 
@@ -223,12 +172,11 @@ ENGINES: dict[str, Callable[[Sequence[FilterSpec], EngineOptions], Engine]] = {
 
 
 def make_engine(
-    specs: Sequence[FilterSpec],
-    options: EngineOptions | None = None,
-    **legacy: Any,
+    specs: Sequence[FilterSpec], options: EngineOptions | None = None
 ) -> Engine:
-    """Instantiate the configured engine over ``specs``."""
-    opts = coerce_engine_options(options, legacy, stacklevel=3)
+    """Instantiate the configured engine over ``specs``; the caller owns
+    it and must ``close()`` it (or let an :class:`EngineSession` do so)."""
+    opts = options if options is not None else EngineOptions()
     try:
         factory = ENGINES[opts.engine]
     except KeyError:
@@ -242,43 +190,33 @@ def make_engine(
 
 
 def run_pipeline(
-    specs: Sequence[FilterSpec],
-    options: EngineOptions | None = None,
-    **legacy: Any,
+    specs: Sequence[FilterSpec], options: EngineOptions | None = None
 ) -> RunResult:
-    """Build and run a pipeline on the configured engine (the main entry
-    point; the default ``EngineOptions()`` preserves the historical
-    threaded behaviour)."""
-    return make_engine(
-        specs, coerce_engine_options(options, legacy, stacklevel=3)
-    ).run()
+    """Run one unit of work on a fresh engine and tear it down (the main
+    one-shot entry point; the default ``EngineOptions()`` runs threaded)."""
+    with EngineSession(options) as session:
+        return session.run(specs)
 
 
 class EngineSession:
-    """A warm engine reused across many units of work.
+    """An engine reused across units of work, torn down by :meth:`close`.
 
-    One-shot callers build an engine, run it, and drop it —
-    :func:`run_pipeline`.  A serving process instead runs thousands of
-    units of work under identical :class:`EngineOptions`, where per-run
-    option coercion and engine construction are pure overhead.  The
-    session constructs the engine once on first use and *rebinds* it to
+    The session constructs the engine on first use and *rebinds* it to
     each new spec list (``Engine.rebind``), keeping the engine-level
     scaffolding — validated options, retry/fault plumbing, transport
-    configuration — warm across runs.  Engines that predate ``rebind``
-    (external registrations) are transparently rebuilt per run.
+    configuration — warm across runs.  On the process engine that
+    includes the worker pool: filter processes are forked on the first
+    run and then serve every later unit of work as a fresh *work epoch*
+    over per-worker control channels — no fork, no re-import, warm
+    shared-memory segments.  :func:`run_pipeline` is a session of one
+    epoch.
 
-    On the process engine the session goes further: unless
-    ``options.resident is False`` it *retains* the engine's worker pool
-    (``Engine.retain``), so the filter processes are forked once on the
-    first run and then serve every subsequent unit of work as a fresh
-    *work epoch* over per-worker control channels — no fork, no
-    re-import, warm shared-memory pool.  That residency is why
-    :meth:`close` is now a real lifecycle event, not just a reference
-    drop: it delivers the poison pill to the resident workers, joins
-    them, and tears down the shared-memory pool.  A ``close()`` racing an
-    in-flight ``run()`` does not hang or leak workers — the engine fails
-    that run with a structured :class:`~repro.datacutter.runtime.PipelineError`
-    and then tears down; once closed, further ``run()`` calls raise.
+    :meth:`close` is therefore a real lifecycle event: it delivers the
+    poison pill to the workers, joins them, and tears down the
+    shared-memory segments.  A ``close()`` racing an in-flight ``run()``
+    does not hang or leak workers — the engine fails that run with a
+    structured :class:`~repro.datacutter.runtime.PipelineError` and then
+    tears down; once closed, further ``run()`` calls raise.
 
     Not thread-safe beyond that close race: the serving dispatcher owns
     one session and feeds it batches sequentially (pipeline-internal
@@ -300,36 +238,22 @@ class EngineSession:
             )
         engine = self._engine
         if engine is None:
-            engine = make_engine(specs, self.options)
-            if self.options.resident is not False:
-                retain = getattr(engine, "retain", None)
-                if retain is not None:
-                    retain()
-            self._engine = engine
+            engine = self._engine = make_engine(specs, self.options)
         else:
-            rebind = getattr(engine, "rebind", None)
-            if rebind is not None:
-                rebind(specs)
-            else:  # pragma: no cover - external engines without rebind
-                engine = make_engine(specs, self.options)
-                self._engine = engine
+            engine.rebind(specs)
         self.runs += 1
         return engine.run()
 
     def close(self) -> None:
-        """Tear down the warm engine.
-
-        For a resident process pool this is the single real teardown:
-        poison-pill the worker control channels, join the workers, and
-        release the shared-memory pool.  Safe to call concurrently with
-        an in-flight :meth:`run` — that run fails with a structured error
+        """Tear down the engine: for the process engine, poison-pill the
+        worker control channels, join the workers, and release the
+        shared-memory segments.  Safe to call concurrently with an
+        in-flight :meth:`run` — that run fails with a structured error
         instead of hanging — and idempotent thereafter."""
         self._closed = True
         engine, self._engine = self._engine, None
         if engine is not None:
-            close = getattr(engine, "close", None)
-            if close is not None:
-                close()
+            engine.close()
 
     def __enter__(self) -> "EngineSession":
         return self

@@ -1,7 +1,7 @@
-"""Epoch arena: a work epoch's dataset reaches the resident pool once.
+"""Epoch arena: a work epoch's dataset reaches the worker pool once.
 
 The paper's runtime model (§2.2, §4.2) keeps a unit of work's data at the
-data host; only ``ReqComm(b)`` crosses a filter boundary.  A resident
+data host; only ``ReqComm(b)`` crosses a filter boundary.  A long-lived
 worker pool (:mod:`repro.datacutter.mp.engine`) still has to learn each
 epoch's freshly bound :class:`~repro.datacutter.filters.FilterSpec` list —
 whose ``params["packets"]`` *is* the dataset, shared by every filter of

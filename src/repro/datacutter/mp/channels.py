@@ -39,7 +39,7 @@ in its last frame to every consumer, tagged with the sender's work epoch:
 a frame can never overtake an earlier frame of the same producer, so the
 flag always arrives behind that producer's data, and a consumer counts
 flags until all producers have closed.  A flag from another epoch — a
-straggler from a previous unit of work on a resident pool — is ignored.
+straggler from a previous unit of work on the same pool — is ignored.
 
 Two fork-related differences from the threaded stream, both documented
 behaviour:

@@ -10,7 +10,7 @@ of serializing behind the GIL.  The moving parts:
 * :mod:`~repro.datacutter.mp.channels` — credit-windowed pipe frames
   between stages (backpressure, coalescing) and the epoch-tagged
   end-of-stream protocol;
-* :mod:`~repro.datacutter.mp.worker` — the resident per-copy worker loop;
+* :mod:`~repro.datacutter.mp.worker` — the per-copy worker loop;
 * :mod:`~repro.datacutter.mp.supervisor` — sentinel/heartbeat liveness
   watching, crash recovery, and clean teardown.
 
@@ -22,41 +22,40 @@ threads do, so *any* pipeline the threaded engine can run, this engine
 can run.  On platforms without ``fork`` construction raises a
 ``PipelineError`` telling the caller to use the threaded engine.
 
-**Resident worker pool.**  Forking one process per filter copy per run
-is exactly the startup cost the paper's long-lived filtering services
-avoid, so the pool is reusable across runs: workers are forked once and
-then loop on a per-worker order channel receiving *work epochs*.  A warm
-:class:`~repro.datacutter.engine.EngineSession` marks the engine resident
-(:meth:`ProcessPipeline.retain`); each subsequent ``run()`` then encodes
-the freshly bound :class:`FilterSpec` list (packets, params, widths,
-routing policy — the generated filter classes are already in the fork
-image, anchored by :mod:`repro.codegen.generated_registry`) **once** into
-the pool's :class:`~repro.datacutter.mp.arena.EpochArena`, an anonymous
-file every worker inherited through ``fork``, and sends each worker an
-order of tens of bytes — ``("epoch", epoch, arena_ref, spec_index,
-progress, faults)`` — whatever the size of the dataset.  The worker maps
-the arena copy-on-write and unpickles its spec around views of that
-mapping, so the dataset never enters a pipe and is never copied per
-worker (see :mod:`~repro.datacutter.mp.arena` for the layout and the
-invariants: one writer between epochs, the file only grows, respawns
-read the fork image, the arena dies with its pool).  The epoch id
-correlates every end-of-stream sentinel and ``done`` handshake so a
-straggler from epoch N cannot pollute epoch N+1.  The supervisor stays up
-across epochs — heartbeats, crash respawn, and checkpoint replay all work
-mid-epoch on a resident worker — and each edge's shared-memory segments
-stay mapped and are reused across epochs, with per-epoch reuse counters
-reported into the trace.  The pool *reforks* transparently
-whenever an epoch cannot be shipped by value — a different pipeline shape
-(``shape``), a filter class generated after the pool was forked
-(``registry``), a worker that died while idle (``dead-worker``), or spec
-contents that do not pickle (``unpicklable: <exception type>``) — and the
-``worker_pool`` trace note says which, as ``refork_reason``, next to the
-bytes that crossed the order pipes (``order_bytes``) and the bytes
-encoded into the arena (``arena_bytes``).  Without ``retain()`` each
-``run()`` forks and joins its own pool — byte-identical behaviour to the
-historical fork-per-run engine — and :meth:`close` performs the single
-real teardown of a resident pool (poison-pill orders, join, then the
-arena, the pipes and every edge segment, all released by the parent).
+**Worker pool.**  Forking one process per filter copy per run is exactly
+the startup cost the paper's long-lived filtering services avoid, so the
+pool lives until :meth:`ProcessPipeline.close`: workers are forked on the
+first ``run()`` and then loop on a per-worker order channel receiving
+*work epochs*.  Each later ``run()`` encodes the freshly bound
+:class:`FilterSpec` list (packets, params, widths, routing policy — the
+generated filter classes are already in the fork image, anchored by
+:mod:`repro.codegen.generated_registry`) **once** into the pool's
+:class:`~repro.datacutter.mp.arena.EpochArena`, an anonymous file every
+worker inherited through ``fork``, and sends each worker an order of tens
+of bytes — ``("epoch", epoch, arena_ref, spec_index, progress, faults)``
+— whatever the size of the dataset.  The worker maps the arena
+copy-on-write and unpickles its spec around views of that mapping, so
+the dataset never enters a pipe and is never copied per worker (see
+:mod:`~repro.datacutter.mp.arena` for the layout and the invariants: one
+writer between epochs, the file only grows, respawns read the fork image,
+the arena dies with its pool).  The epoch id correlates every
+end-of-stream sentinel and ``done`` handshake so a straggler from epoch N
+cannot pollute epoch N+1.  The supervisor stays up across epochs —
+heartbeats, crash respawn, and checkpoint replay all work mid-epoch — and
+each edge's shared-memory segments stay mapped and are reused across
+epochs, with per-epoch reuse counters reported into the trace.  The pool
+*reforks* transparently whenever an epoch cannot be shipped by value — a
+different pipeline shape (``shape``), a filter class generated after the
+pool was forked (``registry``), a worker that died while idle
+(``dead-worker``), or spec contents that do not pickle (``unpicklable:
+<exception type>``) — and the ``worker_pool`` trace note says which, as
+``refork_reason``, next to the bytes that crossed the order pipes
+(``order_bytes``) and the bytes encoded into the arena (``arena_bytes``).
+A one-shot run is a pool of one epoch
+(:func:`~repro.datacutter.engine.run_pipeline` opens a session, runs,
+closes it), and :meth:`~ProcessPipeline.close` is the single teardown:
+poison-pill orders, join, then the arena, the pipes and every edge
+segment, all released by the parent.
 
 Results, stream statistics, error semantics, and observability mirror the
 threaded engine: ``run()`` returns the same :class:`RunResult` shape, a
@@ -89,7 +88,7 @@ from .supervisor import Supervisor, WorkerHandle
 from .transport import DEFAULT_SHM_MIN_BYTES
 from .worker import worker_main
 
-#: the poison pill shipped to resident workers at teardown
+#: the poison pill shipped to the workers at teardown
 _EXIT_ORDER = pickle.dumps(("exit",))
 
 
@@ -106,13 +105,12 @@ def _generated_registry() -> Any:
 
 @dataclass
 class _WorkerPool:
-    """One forked generation of resident workers and their wiring."""
+    """One forked generation of workers and their wiring."""
 
     mpctx: Any
     #: pipeline shape the pool was forked for: ((name, width), ...) — the
     #: edges and worker count are bound to it, so a different shape reforks
     layout: tuple[tuple[str, int], ...]
-    resident: bool
     recovering: bool
     workers: list[WorkerHandle]
     #: wid -> [spec, copy_index, in_edge, out_edge, order_recv] — the spec
@@ -137,7 +135,10 @@ class _WorkerPool:
 
 
 class ProcessPipeline:
-    """Executes units of work with one OS process per filter copy."""
+    """Executes units of work with one OS process per filter copy.
+
+    The worker pool outlives each ``run()``: use the engine as a context
+    manager, or call :meth:`close`, to join the workers."""
 
     engine_name = "process"
 
@@ -152,7 +153,6 @@ class ProcessPipeline:
         retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         post_eos_timeout: float | None = 60.0,
-        resident: bool = False,
     ) -> None:
         if not specs:
             raise ValueError("pipeline needs at least one filter")
@@ -170,7 +170,6 @@ class ProcessPipeline:
         self.retry = retry
         self.faults = FaultPlan.coerce(faults)
         self.post_eos_timeout = post_eos_timeout
-        self._resident = resident
         self._pool: _WorkerPool | None = None
         self._epoch = 0
         self._forks = 0
@@ -180,26 +179,19 @@ class ProcessPipeline:
         self._run_lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
-    def retain(self) -> None:
-        """Keep the worker pool resident across runs.
-
-        Called by :class:`~repro.datacutter.engine.EngineSession`; after
-        this, the caller owns the teardown via :meth:`close`."""
-        self._resident = True
-
     def rebind(self, specs: Sequence[FilterSpec]) -> None:
         """Point the engine at a new placed pipeline for the next run.
 
-        On a resident pool the next ``run()`` ships these specs to the
-        already-forked workers as a new work epoch (values only); a pool
-        with a different shape — or specs that cannot cross the order
-        channel — is reforked transparently."""
+        The next ``run()`` ships these specs to the already-forked
+        workers as a new work epoch (values only); a pool with a
+        different shape — or specs that cannot cross the order channel —
+        is reforked transparently."""
         if not specs:
             raise ValueError("pipeline needs at least one filter")
         self.specs = list(specs)
 
     def close(self) -> None:
-        """The single real teardown of a (possibly resident) pool.
+        """The single teardown of the worker pool.
 
         Idempotent.  A close racing an in-flight ``run()`` does not hang
         or leak workers: the in-flight run is failed promptly with a
@@ -252,7 +244,7 @@ class ProcessPipeline:
                 except Exception as exc:  # noqa: BLE001 - closures, lambdas, open handles
                     refork_reason = f"unpicklable: {type(exc).__name__}"
             if refork_reason is not None:
-                # the resident pool cannot serve this epoch by value:
+                # the pool cannot serve this epoch by value:
                 # refork with specs inherited through the fork image
                 self._shutdown_pool()
                 pool = None
@@ -293,14 +285,11 @@ class ProcessPipeline:
             "segments": sum(n for n, _ in census),
             "pooled_bytes": sum(nbytes for _, nbytes in census),
         }
-        if not self._resident:
-            self._shutdown_pool()
         if self.trace is not None:
             if any(shm_pool.values()):
                 self.trace.note(shm_pool=shm_pool)
             self.trace.note(
                 worker_pool={
-                    "resident": self._resident,
                     "epoch": epoch,
                     "forks": self._forks,
                     "reforks": self._reforks,
@@ -388,14 +377,10 @@ class ProcessPipeline:
             post_eos_timeout=self.post_eos_timeout,
         )
         supervisor.abort = self._abort_reason
-        # resident workers park on their order channels after a clean
-        # epoch instead of exiting, so supervise() must not join them
-        supervisor.resident = self._resident
 
         pool = _WorkerPool(
             mpctx=mpctx,
             layout=tuple((s.name, s.width) for s in specs),
-            resident=self._resident,
             recovering=recovering,
             workers=workers,
             spawn_args=spawn_args,
@@ -416,7 +401,7 @@ class ProcessPipeline:
             # specs and any replay buffers) are inherited, never pickled.
             # Respawns bake the *current* epoch and spec into the fresh
             # image, so a worker restarted mid-epoch N heals epoch N and
-            # then serves epoch N+1 like any resident peer.
+            # then serves epoch N+1 like any of its peers.
             process = mpctx.Process(
                 target=worker_main,
                 args=(
@@ -432,7 +417,6 @@ class ProcessPipeline:
                     progress,
                     recv_end,
                     supervisor.epoch,
-                    pool.resident,
                     pool.arena,
                 ),
                 name=f"{spec.name}#{copy_index}",
@@ -466,9 +450,8 @@ class ProcessPipeline:
         children — the fork-time registry snapshot catches that here."""
         if pool.layout != tuple((s.name, s.width) for s in specs):
             return "shape"
-        # a worker died while idle (OOM kill, signal), or the pool was
-        # forked before retain() and its workers left after their epoch
-        if not pool.resident or any(
+        # a worker died while idle (OOM kill, signal)
+        if any(
             w.process is None or not w.process.is_alive() for w in pool.workers
         ):
             return "dead-worker"
@@ -513,7 +496,7 @@ class ProcessPipeline:
         epoch: int,
         order_msgs: list[bytes],
     ) -> None:
-        """Ship one epoch to an idle resident pool."""
+        """Ship one epoch to an idle pool."""
         # refresh the spec slots so a mid-epoch respawn forks the current
         # bindings, not the ones the pool was originally forked with
         worker_id = 0

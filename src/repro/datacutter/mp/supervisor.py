@@ -108,13 +108,9 @@ class Supervisor:
         self.retry = retry
         self.respawn = respawn
         self.post_eos_timeout = post_eos_timeout
-        #: current work epoch; a resident pool advances it via begin_epoch
-        #: so 'done' handshakes from a previous unit of work are ignored
+        #: current work epoch; the pool advances it via begin_epoch so
+        #: 'done' handshakes from a previous unit of work are ignored
         self.epoch = 0
-        #: True while the workers outlive each unit of work: after a clean
-        #: epoch they park on their order channels instead of exiting, so
-        #: the end-of-run join/exit check must not apply
-        self.resident = False
         #: optional external abort hook checked every loop iteration; a
         #: non-None return fails the run with that message (the engine
         #: wires a close() racing an in-flight run through this)
@@ -144,11 +140,11 @@ class Supervisor:
     def begin_epoch(self, epoch: int) -> None:
         """Reset the per-epoch bookkeeping for the next unit of work.
 
-        The supervisor object itself stays up for the life of a resident
-        worker pool; everything scoped to one run — errors, done
+        The supervisor object itself stays up for the life of its worker
+        pool; everything scoped to one run — errors, done
         handshakes, stream statistics, transport counters, pending-death
         grace timers, recovery progress — restarts here.  Heartbeats are
-        stamped to *now* because resident workers do not beat while idle
+        stamped to *now* because workers do not beat while idle
         between epochs, and a stale stamp would trip timeout diagnostics
         instantly."""
         self.epoch = epoch
@@ -223,8 +219,8 @@ class Supervisor:
                     break
             # sleep until something actually happens: a worker dying (its
             # sentinel), a control message (done/error/stats land here —
-            # the latency-critical wake on a resident pool, whose workers
-            # never exit), or collector output
+            # the latency-critical wake, since workers park between
+            # epochs instead of exiting), or collector output
             waits = [
                 w.process.sentinel for w in self.workers if w.process.is_alive()
             ]
@@ -241,16 +237,6 @@ class Supervisor:
         if self.errors:
             self._teardown()
             raise PipelineError("\n".join(self.errors))
-
-        if not self.resident:
-            for w in self.workers:
-                w.process.join(timeout=10)
-            stuck = [w.label for w in self.workers if w.process.is_alive()]
-            if stuck:  # pragma: no cover - 'done' arrived, exit is imminent
-                self._teardown()
-                raise PipelineError(
-                    f"workers did not exit after finishing: {', '.join(stuck)}"
-                )
         return outputs
 
     # ------------------------------------------------------------- internals
@@ -297,8 +283,8 @@ class Supervisor:
             elif kind == "done":
                 _, wid, epoch, failed = msg
                 if epoch != self.epoch:
-                    # straggler handshake from a previous unit of work on
-                    # a resident pool; its epoch already settled
+                    # straggler handshake from a previous unit of work;
+                    # its epoch already settled
                     continue
                 if failed and self._recovering:
                     rec = self._recovery[wid]

@@ -12,7 +12,7 @@ The segments belong to the *edge*, not to a process (:class:`EdgeSegments`):
 
 * **A fixed set per producer copy.**  Producer copy ``p`` owns slots
   ``p * 8 .. p * 8 + 7`` (:data:`SEGMENTS_PER_PRODUCER`).  That bound is
-  what keeps resident memory flat: a producer that finds every one of its
+  what keeps the pool's memory flat: a producer that finds every one of its
   segments in flight waits for one to come back instead of creating more.
   A slot's size and its *busy* flag live in arrays shared by every process
   of the pool, so a producer restarted mid-epoch sees exactly which of its
@@ -30,8 +30,8 @@ The segments belong to the *edge*, not to a process (:class:`EdgeSegments`):
   free slots that are too small (``evicted``).
 * **The owner unlinks.**  The process that built the edge — the engine's
   parent — unlinks every slot in :meth:`EdgeSegments.close`, called when it
-  releases the pool's IPC: after a clean close, a failed epoch, a refork,
-  and after each fork-per-run pool (an engine never closed is swept at
+  releases the pool's IPC: after a clean close (which ends every one-shot
+  run), a failed epoch or a refork (an engine never closed is swept at
   interpreter exit).  Workers never unlink, so no segment can vanish
   while a frame still names it.  A slot's size is recorded before its
   segment is created, so a crash between the two leaves nothing the owner

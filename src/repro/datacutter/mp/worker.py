@@ -1,4 +1,4 @@
-"""Worker-process entry point: one resident process per filter copy.
+"""Worker-process entry point: one long-lived process per filter copy.
 
 Each worker is forked once and then serves *work epochs*: for every epoch
 it runs the unit-of-work protocol shared with the threaded engine
@@ -18,17 +18,16 @@ reports to the supervisor over the control queue:
 * ``("counters", worker_id, counters)`` with this epoch's transport
   counters of the worker's two edges: segment ``hits`` / ``misses`` /
   ``evicted`` as a producer, ``released`` as a consumer, and the
-  ``frames`` it wrote (the edges' segments stay mapped across epochs on a
-  resident worker — that reuse is part of the warm-path win, and the
-  counters prove it);
+  ``frames`` it wrote (the edges' segments stay mapped across epochs —
+  that reuse is part of the warm-path win, and the counters prove it);
 * ``("stats", worker_id, stream, buffers, bytes, by_packet)`` with the
   producer-side accounting of its output edge for this epoch;
 * ``("done", worker_id, epoch, failed)`` as the final message of the
   epoch, tagged so a straggler handshake from epoch N can never satisfy
   the supervisor's bookkeeping for epoch N+1.
 
-After a clean epoch a *resident* worker (``orders`` connection provided,
-``resident=True``) blocks on its order channel for the next instruction:
+After a clean epoch the worker blocks on its order channel for the next
+instruction:
 
 * ``("epoch", epoch, arena_ref, spec_index, progress_or_None,
   faults_or_None)`` — run another unit of work: the copy rebinds to spec
@@ -41,9 +40,8 @@ After a clean epoch a *resident* worker (``orders`` connection provided,
 * ``("exit",)`` — the poison pill: leave (the edges' segments belong to
   the parent, which unlinks them once every worker is gone).
 
-A non-resident worker (fork-per-run mode, and every respawned incarnation
-finishing a failed epoch) exits after its single epoch exactly like the
-pre-pool engine did.  A worker that is killed sends nothing — the
+A worker whose filter failed exits after that epoch (the supervisor
+respawns it or fails the run).  A worker that is killed sends nothing — the
 supervisor detects that through the process sentinel and raises or
 respawns on the caller's side.  Each worker also stamps a heartbeat slot
 (monotonic seconds) before every packet so the supervisor's timeout
@@ -127,13 +125,12 @@ def worker_main(
     out_edge: ProcessEdge,
     control: Any,
     heartbeats: Any,
-    trace_enabled: bool = False,
-    faults: FaultPlan | None = None,
-    progress: CopyProgress | None = None,
-    orders: Any = None,
-    epoch: int = 0,
-    resident: bool = False,
-    arena: EpochArena | None = None,
+    trace_enabled: bool,
+    faults: FaultPlan | None,
+    progress: CopyProgress | None,
+    orders: Any,
+    epoch: int,
+    arena: EpochArena,
 ) -> None:
     out_edge.producer = copy_index
     if in_edge is not None:
@@ -144,7 +141,7 @@ def worker_main(
             worker_id, spec, copy_index, in_edge, out_edge, control,
             heartbeats, epoch, trace_enabled, faults, progress,
         )
-        if failed or not resident or orders is None:
+        if failed:
             break
         order = _next_order(orders, arena, control, spec, copy_index, worker_id)
         if order is None:

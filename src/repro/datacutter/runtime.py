@@ -104,7 +104,7 @@ class ThreadedPipeline:
 
     def close(self) -> None:
         """Lifecycle no-op: threads are created and joined inside each
-        ``run()``, so there is nothing resident to tear down.  Exists so
+        ``run()``, so there is nothing left to tear down.  Exists so
         session/pool teardown can treat every engine uniformly."""
 
     def run(self) -> RunResult:

@@ -93,7 +93,7 @@ def simulate(stages: Sequence[SimStage], num_packets: int) -> SimReport:
     """Run ``num_packets`` packets through the tandem of ``stages``.
 
     All packets are available at time zero at the first stage (the data is
-    resident on the data host); every subsequent arrival time is the
+    stored on the data host); every subsequent arrival time is the
     completion at the previous stage.
     """
     if num_packets < 0:

@@ -4,7 +4,7 @@
                    T[i-1, j] + CostComp(P(C_j), Task(f_i)) )
 
 ``T[i, j]`` is the minimum cost of completing filters ``f_1..f_i`` with the
-results of ``f_i`` resident on unit ``C_j``; the answer is ``T[n+1, m]``.
+results of ``f_i`` held on unit ``C_j``; the answer is ``T[n+1, m]``.
 O(nm) time.  Three entry points:
 
 * :func:`decompose_dp` — the published algorithm with backtracking,

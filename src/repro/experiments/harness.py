@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -191,29 +190,6 @@ def timed_specs(
 # ---------------------------------------------------------------------------
 
 
-def _resolve_options(
-    options: EngineOptions | None,
-    engine: str | None,
-    stacklevel: int = 4,
-) -> EngineOptions:
-    """Back-compat: accept the old ``engine="..."`` keyword with a
-    DeprecationWarning, preferring ``options=EngineOptions(...)``."""
-    if engine is not None:
-        if options is not None:
-            raise TypeError(
-                "pass either options=EngineOptions(...) or the legacy "
-                "engine= keyword, not both"
-            )
-        warnings.warn(
-            "the engine= keyword is deprecated; pass "
-            "options=EngineOptions(engine=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return EngineOptions(engine=engine)
-    return options if options is not None else EngineOptions()
-
-
 def measure_pipeline(
     specs: Sequence[FilterSpec],
     options: EngineOptions | None = None,
@@ -328,7 +304,6 @@ def measure_version(
     objective: str = "total",
     warmup: bool = True,
     options: EngineOptions | None = None,
-    engine: str | None = None,
     backend: str = "auto",
 ) -> MeasuredRun:
     """Run one version once (width 1 everywhere) and measure it.
@@ -336,7 +311,6 @@ def measure_version(
     ``warmup`` runs the pipeline once untraced first, so first-touch costs
     (codegen import, NumPy buffer warmup) don't masquerade as a bottleneck
     packet."""
-    opts = _resolve_options(options, engine)
     env = env or cluster_config(1)
     specs, _result = _specs_for_version(
         app, workload, version, env, objective, backend=backend
@@ -349,7 +323,7 @@ def measure_version(
         version,
         check=check,
         warmup=warmup,
-        options=opts,
+        options=options,
     )
 
 
@@ -362,10 +336,9 @@ def measure_specs(
     check: bool = True,
     warmup: bool = True,
     options: EngineOptions | None = None,
-    engine: str | None = None,
 ) -> MeasuredRun:
     """Measure an already-built spec list (see :func:`measure_version`)."""
-    opts = _resolve_options(options, engine)
+    opts = options if options is not None else EngineOptions()
     if opts.trace is not None and not isinstance(opts.trace, Trace):
         raise TypeError(
             "measure_specs aggregates via Trace.seconds_by_packet(); pass "
@@ -505,13 +478,12 @@ def run_experiment(
     configs: dict[str, PipelineEnv] | None = None,
     check: bool = True,
     options: EngineOptions | None = None,
-    engine: str | None = None,
     backend: str = "auto",
 ) -> dict[str, VersionTimes]:
     """Measure each version once, simulate each configuration."""
     # each measured run gets its own Trace (one shared collector would mix
     # versions in seconds_by_packet); per-run traces land on MeasuredRun
-    opts = _resolve_options(options, engine).replace(trace=None)
+    opts = (options if options is not None else EngineOptions()).replace(trace=None)
     if configs is None:
         configs = {
             "1-1-1": cluster_config(1),

@@ -49,7 +49,6 @@ from .plancache import CacheStats, PlanCache, PlanCacheProtocol
 from .requests import (
     SCHEMA_VERSION,
     STATS_KIND,
-    SUPPORTED_SCHEMAS,
     PendingResponse,
     Request,
     Response,
@@ -82,7 +81,6 @@ __all__ = [
     "Response",
     "SCHEMA_VERSION",
     "STATS_KIND",
-    "SUPPORTED_SCHEMAS",
     "SchemaVersionError",
     "ServerClosed",
     "ServerMetrics",

@@ -13,17 +13,17 @@ changes what ``compile_source`` produces:
 
 * the source text (SHA-256),
 * the intrinsic registry (names, signatures, implementation identities),
-* every compile-relevant :class:`~repro.core.compiler.CompileOptions`
-  field — the decomposition environment (units/links), workload profile,
-  op weights, objective, size hints, runtime classes, method costs, and
-  the **resolved** codegen backend (``"auto"`` keys as whatever
+* every :class:`~repro.core.compiler.CompileOptions` field — the
+  decomposition environment (units/links), workload profile, op weights,
+  objective, size hints, runtime classes, method costs, and the
+  **resolved** codegen backend (``"auto"`` keys as whatever
   ``REPRO_BACKEND`` resolves it to, so a scalar-compiled entry is never
   served to a vector request),
 * an explicit plan override and extra intrinsic implementations.
 
-Execution-time fields (``engine``, ``engine_options``) stay *out* of the
-key: they do not affect the compiled artifact, and one cached pipeline
-serves both engines.
+Nothing about execution is in the key: engine settings live in
+:class:`~repro.datacutter.engine.EngineOptions`, never in the compile
+options, so one cached pipeline serves both engines.
 
 Entries are :class:`~repro.core.compiler.CompilationResult` objects,
 shared by reference: they are immutable in practice (``pipeline.specs``
@@ -75,10 +75,6 @@ class PlanCacheProtocol(Protocol):
 
     def put(self, key: str, result: CompilationResult) -> None:  # pragma: no cover
         ...
-
-#: CompileOptions fields that configure *execution*, not compilation —
-#: excluded from the key so one cached pipeline serves any engine
-_EXECUTION_FIELDS = frozenset({"engine", "engine_options"})
 
 
 def _canon(value: Any) -> Any:
@@ -137,11 +133,9 @@ def _registry_fingerprint(registry: IntrinsicRegistry | None) -> Any:
 
 
 def options_fingerprint(options: CompileOptions) -> Any:
-    """Canonical form of the compile-relevant option fields."""
+    """Canonical form of the compile option fields."""
     parts = []
     for f in dataclasses.fields(options):
-        if f.name in _EXECUTION_FIELDS:
-            continue
         value = getattr(options, f.name)
         if f.name == "backend":
             # "auto" must key as whatever it resolves to right now, so a

@@ -75,11 +75,6 @@ _request_ids = itertools.count(1)
 #: distributed-tracing ``trace`` id)
 SCHEMA_VERSION = 3
 
-#: schema versions this build decodes.  v3 only *adds* the optional
-#: ``trace`` key, so v2 frames decode with a server-minted trace id and
-#: v2 readers that tolerate unknown keys can ignore it.
-SUPPORTED_SCHEMAS = (2, 3)
-
 
 def mint_trace_id() -> str:
     """A fresh 64-bit request trace id (hex), minted client side for
@@ -197,10 +192,10 @@ def _hashable(value: Any) -> Any:
 
 def _require_schema(header: Mapping[str, Any]) -> None:
     version = header.get("schema")
-    if version not in SUPPORTED_SCHEMAS:
+    if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported wire schema version {version!r} "
-            f"(this build speaks {', '.join(map(str, SUPPORTED_SCHEMAS))})"
+            f"(this build speaks {SCHEMA_VERSION})"
         )
 
 
@@ -216,7 +211,7 @@ class Request:
     #: admission timestamp (monotonic), set by the server
     t_submit: float = field(default_factory=time.monotonic)
     #: end-to-end distributed-trace id (client-minted for remote
-    #: requests; the server mints one when a v2 frame omits it)
+    #: requests; the server mints one when a frame omits it)
     trace_id: str = field(default_factory=mint_trace_id)
     #: submission timestamp on the span timeline (``perf_counter``),
     #: the zero point of the request's stage spans
@@ -270,7 +265,7 @@ class Request:
             raise WireFormatError("request kind must be str and body a mapping")
         if remaining is not None and not isinstance(remaining, (int, float)):
             raise WireFormatError("request deadline must be a number or null")
-        trace = header.get("trace")  # absent on v2 frames: mint locally
+        trace = header.get("trace")  # absent: mint locally
         if trace is not None and not isinstance(trace, str):
             raise WireFormatError("request trace id must be a string or absent")
         return cls(
@@ -305,7 +300,7 @@ class Response:
     cache_hit: bool = False
     #: suggested client backoff when status == "rejected"
     retry_after: float | None = None
-    #: the request's distributed-trace id, echoed back (None from v2 peers)
+    #: the request's distributed-trace id, echoed back (None if unknown)
     trace_id: str | None = None
 
     @property

@@ -11,21 +11,20 @@
 3. executes on the warm :class:`~repro.datacutter.engine.EngineSession`,
    which reuses one engine object across every request the server ever
    serves (``Engine.rebind``) instead of reconstructing it per run.  On
-   the process engine the session additionally retains a *resident worker
-   pool*: the filter processes are forked once, on the first request, and
-   every later request ships its bound specs to them as a fresh work
-   epoch over per-worker control channels — no fork, no re-import, warm
-   shared-memory segments (set ``EngineOptions(resident=False)`` to force
-   the old fork-per-run behaviour).
+   the process engine that engine owns a worker pool: the filter
+   processes are forked once, on the first request, and every later
+   request ships its bound specs to them as a fresh work epoch over
+   per-worker control channels — no fork, no re-import, warm
+   shared-memory segments.
 
 Per-batch recovery comes for free: whatever ``RetryPolicy`` the server's
 :class:`~repro.datacutter.engine.EngineOptions` carries is applied by the
 engine to every execution, so a transient filter failure retries inside
 the batch rather than failing the client.  :meth:`SessionPool.close` is
-correspondingly a real lifecycle event now — it delivers the resident
-pool's poison pill and joins the workers — and a close racing an
-in-flight request fails that request with a structured error instead of
-hanging or leaking processes."""
+a real lifecycle event — it delivers the pool's poison pill and joins
+the workers — and a close racing an in-flight request fails that
+request with a structured error instead of hanging or leaking
+processes."""
 
 from __future__ import annotations
 

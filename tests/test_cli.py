@@ -209,3 +209,30 @@ def test_serve_rejects_bad_mix(capsys):
     code = main(["serve", "--requests", "4", "--mix", "bogus=1"])
     assert code == 2
     assert "unknown kinds" in capsys.readouterr().out
+
+
+#: every subcommand taking --engine/--backend, with its required positionals
+_FLAG_COMMANDS = [
+    ["compile", "app.pipe"],
+    ["run", "knn"],
+    ["trace", "knn"],
+    ["chaos", "knn"],
+    ["figures"],
+    ["serve"],
+]
+
+
+@pytest.mark.parametrize("command", _FLAG_COMMANDS, ids=lambda c: c[0])
+def test_engine_and_backend_flags(command):
+    from repro.__main__ import build_parser
+
+    parser = build_parser()
+    flags = {"backend": "vector"}
+    if command[0] != "compile":  # compiling runs nothing
+        flags["engine"] = "process"
+    argv = [x for name, value in flags.items() for x in (f"--{name}", value)]
+    args = parser.parse_args(command + argv)
+    assert {name: getattr(args, name) for name in flags} == flags
+    for name in flags:
+        with pytest.raises(SystemExit):
+            parser.parse_args(command + [f"--{name}", "bogus"])

@@ -257,7 +257,7 @@ def test_validate_chrome_trace_catches_garbage():
 
 
 # ---------------------------------------------------------------------------
-# EngineOptions: the consolidated run API and its deprecation shim
+# EngineOptions: the consolidated run API
 # ---------------------------------------------------------------------------
 
 
@@ -283,44 +283,6 @@ def test_unknown_engine_error_has_no_chained_context():
     assert exc_info.value.__suppress_context__
     assert exc_info.value.__cause__ is None
     assert "known engines" in str(exc_info.value)
-
-
-def test_legacy_kwargs_warn_and_work():
-    specs = [FilterSpec("src", _Range, params={"n": 3})]
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        run = run_pipeline(specs, engine="threaded", queue_capacity=4)
-    assert len(run.outputs) == 3
-
-
-def test_legacy_positional_engine_string_warns():
-    with pytest.warns(DeprecationWarning):
-        eng = make_engine([FilterSpec("src", _Range)], "process")
-    assert eng.engine_name == "process"
-
-
-def test_legacy_positional_capacity_int_warns():
-    specs = [FilterSpec("src", _Range, params={"n": 3})]
-    with pytest.warns(DeprecationWarning):
-        run = run_pipeline(specs, 4)
-    assert len(run.outputs) == 3
-
-
-def test_options_plus_legacy_kwargs_rejected():
-    specs = [FilterSpec("src", _Range)]
-    with pytest.raises(TypeError, match="not both"):
-        run_pipeline(specs, options=EngineOptions(), engine="process")
-    with pytest.raises(TypeError, match="unknown engine option"):
-        run_pipeline(specs, bogus_knob=1)
-
-
-def test_execute_legacy_engine_kwarg_warns():
-    app, workload = APPS["knn"]()
-    _specs, result = _specs_for_version(
-        app, workload, "Decomp-Comp", cluster_config(1)
-    )
-    with pytest.warns(DeprecationWarning):
-        run = result.execute(workload.packets, workload.params, engine="threaded")
-    assert workload.check(run.payloads[-1], workload.oracle())
 
 
 def test_execute_default_engine_no_warning():

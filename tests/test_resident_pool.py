@@ -1,9 +1,8 @@
-"""Resident process-engine worker pool: fork-once lifecycle, work epochs,
-refork fallbacks, cross-epoch state hygiene, and close semantics.
+"""Process-engine worker pool: fork-once lifecycle, work epochs, refork
+fallbacks, cross-epoch state hygiene, and close semantics.
 
-The pool contract under test: an :class:`EngineSession` on the process
-engine forks its workers once, on the first run, and every later run is a
-*work epoch* shipped to the same processes over per-worker order
+The pool contract under test: the process engine forks its workers once,
+on the first run, and every later run is a *work epoch* shipped to the same processes over per-worker order
 channels — so worker PIDs are stable across runs, shared-memory segments
 persist and are reused across epochs, and nothing (routing policy state,
 sentinel tallies, stream stats) bleeds from one unit of work into the
@@ -34,6 +33,7 @@ from repro.datacutter import (
     Filter,
     FilterSpec,
     PipelineError,
+    ProcessPipeline,
     RetryPolicy,
     SourceFilter,
     Trace,
@@ -106,18 +106,20 @@ def test_session_forks_once_and_reuses_workers():
     no_orphans()
 
 
-def test_resident_false_forks_per_run():
-    """EngineOptions(resident=False): the benchmark's fork-per-run knob."""
-    with EngineSession(proc_options(resident=False)) as session:
-        first = _pids(session.run(pid_specs()))
-        second = _pids(session.run(pid_specs()))
-        assert session._engine._forks == 2
-    assert first != second  # fresh processes each run
+def test_standalone_engine_keeps_its_pool_until_close():
+    """The pool outlives run() without a session: two runs on a bare
+    engine are two epochs of one fork, and leaving the block joins it."""
+    with ProcessPipeline(pid_specs(), timeout=PROC_TIMEOUT) as eng:
+        first = _pids(eng.run())
+        second = _pids(eng.run())
+        assert eng._forks == 1
+        assert eng._epoch == 2
+    assert first == second
     no_orphans()
 
 
 def test_oneshot_run_pipeline_still_tears_down():
-    """Without a session, each run forks and joins its own pool."""
+    """run_pipeline is a session of one epoch: its pool is joined on return."""
     run = run_pipeline(pid_specs(), proc_options())
     assert len(_pids(run)) == 3
     no_orphans()
@@ -219,7 +221,7 @@ def shm_specs():
 
 
 def test_shm_segments_persist_and_reuse_across_epochs():
-    """Edge segments outlive the epoch on a resident pool: they are still
+    """Edge segments outlive the epoch on the pool: they are still
     there at epoch end (not unlinked) and the next epoch's encodes hit
     them; the per-run trace note carries the counters."""
     trace = Trace()
@@ -228,7 +230,7 @@ def test_shm_segments_persist_and_reuse_across_epochs():
         session.run(shm_specs())
         first = dict(trace.meta["shm_pool"])
         assert first["pooled_bytes"] > 0  # segments survive the epoch
-        assert trace.meta["worker_pool"]["resident"] is True
+        assert trace.meta["worker_pool"]["epoch"] == 1
         session.run(shm_specs())
         second = dict(trace.meta["shm_pool"])
         assert second["hits"] > 0  # epoch 2 reused pooled segments
@@ -574,7 +576,7 @@ def test_deep_stats_carry_the_worker_pool_note():
             assert client.call("knn", {"x": x, "y": x, "z": x}).ok
         assert "engine_pool" not in client.stats()
         pool_note = client.stats(deep=True)["engine_pool"]
-    assert pool_note["resident"] is True
+    assert pool_note["forks"] == 1
     assert pool_note["reforks"] == 0 and pool_note["refork_reason"] is None
     assert 0 < pool_note["order_bytes"] <= 1024 * 4
     assert pool_note["arena_bytes"] > 0

@@ -128,17 +128,6 @@ class TestPlanCacheKeying:
         k2 = cache.key_for(src, reg, opts.replace(env=cluster_config(2)))
         assert k1 != k2
 
-    def test_execution_fields_do_not_key(self, knn_service):
-        cache = PlanCache()
-        src, reg, opts = (
-            knn_service.app.source,
-            knn_service.app.registry,
-            knn_service.options,
-        )
-        assert cache.key_for(src, reg, opts) == cache.key_for(
-            src, reg, opts.replace(engine="process")
-        )
-
     def test_source_keys_distinctly(self, knn_service):
         cache = PlanCache()
         reg, opts = knn_service.app.registry, knn_service.options

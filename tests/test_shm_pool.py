@@ -248,6 +248,7 @@ def test_pool_disabled_below_threshold():
 #: run in a fresh interpreter, so its resource tracker's verdict at exit
 #: is on stderr; the scenario name is argv[1]
 _SCENARIO = r"""
+import multiprocessing
 import os
 import sys
 import numpy as np
@@ -302,8 +303,18 @@ def segments():
 before = segments()
 opts = EngineOptions(engine="process", timeout=120.0, death_grace=0.3)
 scenario = sys.argv[1]
-if scenario == "fork-per-run":
+if scenario == "one-shot":
+    # run_pipeline is a session of one epoch: clean or failed, it joins
+    # its workers and unlinks its segments before it returns
     assert run_pipeline(specs(), opts).payloads == expect()
+    try:
+        run_pipeline(specs(boom=True), opts)
+    except PipelineError:
+        pass
+    else:
+        raise SystemExit("the failing one-shot run did not fail")
+    assert not multiprocessing.active_children(), multiprocessing.active_children()
+    assert segments() <= before, segments() - before
 elif scenario.startswith("crash-"):
     healing = opts.replace(
         retry=RetryPolicy(max_attempts=3, backoff_base=0.01, jitter=0.0),
@@ -342,7 +353,7 @@ print("ok")
         "clean-close",
         "failed-epoch",
         "refork",
-        "fork-per-run",
+        "one-shot",
         "crash-src",
         "crash-mid",
         "crash-sink",

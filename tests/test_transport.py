@@ -33,7 +33,6 @@ from repro.serve import (
     Request,
     Response,
     SCHEMA_VERSION,
-    SUPPORTED_SCHEMAS,
     SchemaVersionError,
     ServerClosed,
     ServerOptions,
@@ -178,8 +177,30 @@ class TestWireSchema:
         header["schema"] = SCHEMA_VERSION + 41
         with pytest.raises(SchemaVersionError, match="unsupported wire schema"):
             Request.from_wire(header, segments)
+        header, segments = Response(id=1, kind="knn", status="ok").to_wire()
+        header["schema"] = SCHEMA_VERSION + 41
+        with pytest.raises(SchemaVersionError, match="unsupported wire schema"):
+            Response.from_wire(header, segments)
         with pytest.raises(SchemaVersionError):
             Response.from_wire({"schema": None}, [])
+        # current-schema frames still decode
+        assert Request.from_wire(*Request(kind="knn").to_wire()).kind == "knn"
+
+    def test_v2_request_refused(self):
+        # schema 2 (pre-trace) is retired: a genuine v2 frame, which has
+        # no ``trace`` key, is refused for its version, not as malformed
+        header, segments = Request(kind="knn", body={"x": 0.1}).to_wire()
+        header["schema"] = 2
+        header.pop("trace")
+        with pytest.raises(SchemaVersionError, match="unsupported wire schema"):
+            Request.from_wire(header, segments)
+
+    def test_v2_response_refused(self):
+        header, segments = Response(id=1, kind="knn", status="ok").to_wire()
+        header["schema"] = 2
+        header.pop("trace")
+        with pytest.raises(SchemaVersionError, match="unsupported wire schema"):
+            Response.from_wire(header, segments)
 
     def test_trace_id_on_the_wire(self):
         req = Request(kind="knn", body={"x": 0.1})
@@ -188,23 +209,6 @@ class TestWireSchema:
         assert Request.from_wire(header, segments).trace_id == req.trace_id
         resp = Response(id=1, kind="knn", status="ok", trace_id=req.trace_id)
         assert Response.from_wire(*resp.to_wire()).trace_id == req.trace_id
-
-    def test_v2_request_without_trace_still_decodes(self):
-        # a v2 client has never heard of trace ids: the server must
-        # accept the frame and mint one itself
-        assert set(SUPPORTED_SCHEMAS) >= {2, SCHEMA_VERSION}
-        header, segments = Request(kind="knn", body={"x": 0.1}).to_wire()
-        header["schema"] = 2
-        header.pop("trace")
-        back = Request.from_wire(header, segments)
-        assert back.kind == "knn" and back.trace_id  # server-minted
-
-    def test_v2_response_without_trace_still_decodes(self):
-        header, segments = Response(id=1, kind="knn", status="ok").to_wire()
-        header["schema"] = 2
-        header.pop("trace")
-        back = Response.from_wire(header, segments)
-        assert back.ok and back.trace_id is None
 
     def test_malformed_trace_id_rejected(self):
         header, segments = Request(kind="knn").to_wire()
@@ -587,12 +591,12 @@ class TestFlowControl:
 
 
 # ---------------------------------------------------------------------------
-# Schema compatibility and trace context across the socket
+# Trace context across the socket
 # ---------------------------------------------------------------------------
 
 
 class TestSchemaCompat:
-    def test_v2_client_served_by_v3_server(self, server):
+    def test_v2_client_refused_by_v3_server(self, server):
         addr = server.listen()
         sock, rfile = _raw_connection(addr)
         header, segments = Request(
@@ -602,14 +606,17 @@ class TestSchemaCompat:
         header.pop("trace")  # a v2 client never sends one
         sock.sendall(encode_frame(T_REQUEST, header, segments))
         frame = read_frame(rfile)
+        assert frame is not None and frame[0] == T_ERROR
+        assert "schema version" in frame[1]["error"]
+        assert frame[1]["cid"] == header["id"]
+        # the refusal costs the connection nothing: v3 frames still serve
+        good = Request(kind="knn", body={"x": 0.3, "y": 0.3, "z": 0.3})
+        sock.sendall(encode_frame(T_REQUEST, *good.to_wire()))
+        frame = read_frame(rfile)
         assert frame is not None and frame[0] == T_RESPONSE
         assert frame[1]["status"] == "ok"
-        # the server answers in its own schema; a v2 reader that
-        # tolerates unknown keys simply ignores ``trace``
-        assert frame[1]["schema"] == SCHEMA_VERSION
-        response = Response.from_wire(frame[1], frame[2])
-        assert response.ok and response.trace_id  # server-minted
         sock.close()
+        _assert_serviceable(server)
 
     def test_trace_id_round_trips_over_the_wire(self, server):
         with RemoteClient(server.listen(), timeout=60.0) as client:
