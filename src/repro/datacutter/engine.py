@@ -90,7 +90,8 @@ class EngineOptions:
     #: None disables tracing
     trace: TraceCollector | None = None
     #: packet-granularity fault tolerance (repro.datacutter.recovery);
-    #: None — the default — keeps the legacy no-recovery fast path
+    #: None — the default — with no ``faults`` runs every copy without
+    #: recovery: no staged emits, no snapshots
     retry: RetryPolicy | None = None
     #: deterministic fault injection for chaos testing; a FaultPlan or a
     #: plain iterable of FaultSpec (normalized here); None disables

@@ -80,7 +80,7 @@ from ..filters import FilterSpec
 from ..obs.trace import TraceCollector
 from ..recovery.faults import FaultPlan
 from ..recovery.policy import RetryPolicy
-from ..recovery.replay import CopyProgress
+from ..recovery.replay import CopyProgress, recovery_policy
 from ..runtime import PipelineError, RunResult
 from .arena import EpochArena
 from .channels import ProcessEdge
@@ -111,7 +111,6 @@ class _WorkerPool:
     #: pipeline shape the pool was forked for: ((name, width), ...) — the
     #: edges and worker count are bound to it, so a different shape reforks
     layout: tuple[tuple[str, int], ...]
-    recovering: bool
     workers: list[WorkerHandle]
     #: wid -> [spec, copy_index, in_edge, out_edge, order_recv] — the spec
     #: slot is refreshed every epoch so a respawn forks the current one
@@ -339,7 +338,7 @@ class ProcessPipeline:
         n_workers = sum(spec.width for spec in specs)
         heartbeats = mpctx.Array("d", n_workers, lock=False)
         control = mpctx.Queue()
-        recovering = self.retry is not None or self.faults is not None
+        policy = recovery_policy(self.retry, self.faults)
 
         spawn_args: dict[int, list[Any]] = {}
         orders: dict[int, Any] = {}
@@ -362,38 +361,6 @@ class ProcessPipeline:
                     )
                 )
                 worker_id += 1
-
-        supervisor = Supervisor(
-            workers,
-            control,
-            collector,
-            heartbeats,
-            timeout=self.timeout,
-            death_grace=self.death_grace,
-            trace=self.trace,
-            retry=self.retry,
-            faults=self.faults,
-            respawn=None,  # wired below (the closure needs the pool)
-            post_eos_timeout=self.post_eos_timeout,
-        )
-        supervisor.abort = self._abort_reason
-
-        pool = _WorkerPool(
-            mpctx=mpctx,
-            layout=tuple((s.name, s.width) for s in specs),
-            recovering=recovering,
-            workers=workers,
-            spawn_args=spawn_args,
-            all_edges=all_edges,
-            collector=collector,
-            heartbeats=heartbeats,
-            control=control,
-            orders=orders,
-            order_recv=order_recv,
-            supervisor=supervisor,
-            arena=EpochArena(),
-            registry_names=frozenset(vars(_generated_registry())),
-        )
 
         def spawn(wid: int, progress: CopyProgress | None) -> Any:
             spec, copy_index, in_edge, out_edge, recv_end = pool.spawn_args[wid]
@@ -425,17 +392,40 @@ class ProcessPipeline:
             process.start()
             return process
 
-        if recovering:
-            # the respawn hook closes over the pool, which did not exist
-            # when the Supervisor was constructed; begin_epoch() below
-            # builds the recovery bookkeeping this flag enables
-            supervisor.respawn = spawn
-            supervisor._recovering = True
+        supervisor = Supervisor(
+            workers,
+            control,
+            collector,
+            heartbeats,
+            timeout=self.timeout,
+            death_grace=self.death_grace,
+            trace=self.trace,
+            retry=policy,
+            respawn=spawn,
+            post_eos_timeout=self.post_eos_timeout,
+        )
+        supervisor.abort = self._abort_reason
+
+        pool = _WorkerPool(
+            mpctx=mpctx,
+            layout=tuple((s.name, s.width) for s in specs),
+            workers=workers,
+            spawn_args=spawn_args,
+            all_edges=all_edges,
+            collector=collector,
+            heartbeats=heartbeats,
+            control=control,
+            orders=orders,
+            order_recv=order_recv,
+            supervisor=supervisor,
+            arena=EpochArena(),
+            registry_names=frozenset(vars(_generated_registry())),
+        )
 
         supervisor.begin_epoch(epoch)
         for w in workers:
             w.process = spawn(
-                w.worker_id, CopyProgress() if recovering else None
+                w.worker_id, CopyProgress() if policy is not None else None
             )
         self._forks += 1
         return pool
@@ -476,10 +466,10 @@ class ProcessPipeline:
         epoch, and the arena still holds the previous epoch when it
         raises."""
         arena_ref = pool.arena.store(specs)
+        progress = CopyProgress() if pool.supervisor.retry is not None else None
         order_msgs = []
         for spec_index, spec in enumerate(specs):
             for _copy in range(spec.width):
-                progress = CopyProgress() if pool.recovering else None
                 # the fault plan rides along so chaos config tracks the
                 # engine's current value each epoch instead of freezing
                 # at whatever the pool was forked with

@@ -36,18 +36,28 @@ releases the failed pool.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
 from queue import Empty
 from typing import Any, Callable
 
 from ..buffers import Buffer, StreamStats
 from ..obs.trace import Span, TraceCollector
-from ..recovery.faults import FaultPlan
 from ..recovery.policy import RetryPolicy
-from ..recovery.replay import CopyProgress
+from ..recovery.replay import CopyLedger, CopyProgress
 from ..runtime import PipelineError
 from .channels import EndOfStream, ProcessEdge
+
+
+#: recovery control message kind -> the CopyLedger method it applies
+_LEDGER_OPS = {
+    "inflight": CopyLedger.on_inflight,
+    "ack": CopyLedger.on_ack,
+    "genack": CopyLedger.on_gen_ack,
+    "seos": CopyLedger.on_eos_tally,
+    "eos": CopyLedger.on_eos,
+    "spill": CopyLedger.on_spill,
+}
 
 
 @dataclass(slots=True)
@@ -57,30 +67,6 @@ class WorkerHandle:
     process: Any
     worker_id: int
     label: str  # "filtername#copy"
-
-
-@dataclass(slots=True)
-class _WorkerRecovery:
-    """Parent-side recovery bookkeeping for one logical filter copy."""
-
-    #: attempts started so far (the initial spawn counts as 1)
-    attempts: int = 1
-    #: last acknowledged checkpoint (pickled bytes), None when stateless
-    checkpoint: bytes | None = None
-    #: False once the worker reported unpicklable state: no restart possible
-    restorable: bool = True
-    #: delivered-but-unacknowledged packets, keyed by delivery sequence
-    inflight: dict[int, Buffer] = field(default_factory=dict)
-    #: next delivery sequence number for a restarted incarnation
-    next_seq: int = 0
-    #: input-stream sentinels the copy has consumed (gone from the queue)
-    eos_count: int = 0
-    #: the copy's input stream fully closed
-    eos_seen: bool = False
-    #: source copies: owned packet indices already flushed downstream
-    emitted: set[int] = field(default_factory=set)
-    #: traceback text from the latest ("error", ...) report, if any
-    pending_error: str | None = None
 
 
 class Supervisor:
@@ -94,10 +80,11 @@ class Supervisor:
         death_grace: float = 2.0,
         trace: TraceCollector | None = None,
         retry: RetryPolicy | None = None,
-        faults: FaultPlan | None = None,
         respawn: Callable[[int, CopyProgress], Any] | None = None,
         post_eos_timeout: float | None = 60.0,
     ) -> None:
+        """``retry``: the policy the engine decided the pool recovers
+        under, None when it does not; ``respawn`` forks a next attempt."""
         self.workers = workers
         self.control = control
         self.collector = collector
@@ -123,18 +110,8 @@ class Supervisor:
         self._done: set[int] = set()
         self._by_id = {w.worker_id: w for w in workers}
         self._pending_dead: dict[int, float] = {}
-        # recovery is active when a retry policy or fault plan is present
-        # AND the engine provided a respawn hook; the policy defaults to a
-        # single attempt so faults-without-retry still fail cleanly
-        self._recovering = respawn is not None and (
-            retry is not None or faults is not None
-        )
-        self._policy = retry or RetryPolicy(max_attempts=1)
-        self._recovery: dict[int, _WorkerRecovery] = (
-            {w.worker_id: _WorkerRecovery() for w in workers}
-            if self._recovering
-            else {}
-        )
+        self._recovering = retry is not None
+        self._ledgers: dict[int, CopyLedger] = {}
 
     # ------------------------------------------------------------------ api
     def begin_epoch(self, epoch: int) -> None:
@@ -154,8 +131,8 @@ class Supervisor:
         self._done = set()
         self._pending_dead = {}
         if self._recovering:
-            self._recovery = {
-                w.worker_id: _WorkerRecovery() for w in self.workers
+            self._ledgers = {
+                w.worker_id: CopyLedger(pickled=True) for w in self.workers
             }
         now = time.monotonic()
         for w in self.workers:
@@ -248,97 +225,73 @@ class Supervisor:
                 return
             except (OSError, ValueError, EOFError):  # pragma: no cover
                 return
-            kind = msg[0]
-            if kind == "error":
-                _, label, tb, wid = msg
-                text = f"filter {label} failed:\n{tb}"
-                if self._recovering:
-                    # held back: the matching ("done", wid, True) decides
-                    # between restart and final failure
-                    self._recovery[wid].pending_error = text
-                else:
-                    self.errors.append(text)
-            elif kind == "stats":
-                _, _wid, stream, buffers, nbytes, by_packet = msg
-                agg = self.stats.setdefault(stream, StreamStats())
-                agg.buffers += buffers
-                agg.bytes += nbytes
-                for packet, size in by_packet.items():
-                    agg.by_packet[packet] = agg.by_packet.get(packet, 0) + size
-            elif kind == "counters":
-                _, _wid, counters = msg
-                for key, value in counters.items():
-                    self.counters[key] = self.counters.get(key, 0) + value
-            elif kind == "trace":
-                # worker-side event buffer: replay into the caller's
-                # collector so process traces merge like threaded ones
-                _, _wid, spans, samples, blocked = msg
-                if self.trace is not None:
-                    for span in spans:
-                        self.trace.record_span(span)
-                    for sample in samples:
-                        self.trace.record_queue(sample)
-                    for blk in blocked:
-                        self.trace.record_blocked(blk)
-            elif kind == "done":
-                _, wid, epoch, failed = msg
-                if epoch != self.epoch:
-                    # straggler handshake from a previous unit of work;
-                    # its epoch already settled
-                    continue
-                if failed and self._recovering:
-                    rec = self._recovery[wid]
-                    reason = rec.pending_error or (
-                        f"filter {self._by_id[wid].label} failed"
-                    )
-                    self._maybe_restart(wid, reason)
-                else:
-                    self._done.add(wid)
-            elif kind == "inflight":
-                _, wid, seq, buf = msg
-                rec = self._recovery[wid]
-                rec.inflight[seq] = buf
-                rec.next_seq = max(rec.next_seq, seq + 1)
-            elif kind == "ack":
-                _, wid, seq, blob, restorable = msg
-                rec = self._recovery[wid]
-                rec.checkpoint = blob
-                rec.restorable = restorable
-                rec.inflight.pop(seq, None)
-                rec.next_seq = max(rec.next_seq, seq + 1)
-            elif kind == "genack":
-                _, wid, packet = msg
-                self._recovery[wid].emitted.add(packet)
-            elif kind == "seos":
-                _, wid, tally = msg
-                rec = self._recovery[wid]
-                rec.eos_count = max(rec.eos_count, tally)
-            elif kind == "eos":
-                _, wid = msg
-                self._recovery[wid].eos_seen = True
-            elif kind == "spill":
-                # received by the failed attempt but never processed: they
-                # replay right after the packet it failed on
-                _, wid, bufs = msg
-                rec = self._recovery[wid]
-                for buf in bufs:
-                    rec.inflight[rec.next_seq] = buf
-                    rec.next_seq += 1
+            self._apply(msg)
+
+    def _apply(self, msg: tuple) -> None:
+        """Fold one control message into the epoch's bookkeeping."""
+        kind = msg[0]
+        if kind == "error":
+            _, label, tb, wid = msg
+            text = f"filter {label} failed:\n{tb}"
+            if self._recovering:
+                # held back: the matching ("done", wid, True) decides
+                # between restart and final failure
+                self._ledgers[wid].pending_error = text
+            else:
+                self.errors.append(text)
+        elif kind == "stats":
+            _, _wid, stream, buffers, nbytes, by_packet = msg
+            agg = self.stats.setdefault(stream, StreamStats())
+            agg.buffers += buffers
+            agg.bytes += nbytes
+            for packet, size in by_packet.items():
+                agg.by_packet[packet] = agg.by_packet.get(packet, 0) + size
+        elif kind == "counters":
+            _, _wid, counters = msg
+            for key, value in counters.items():
+                self.counters[key] = self.counters.get(key, 0) + value
+        elif kind == "trace":
+            # worker-side event buffer: replay into the caller's
+            # collector so process traces merge like threaded ones
+            _, _wid, spans, samples, blocked = msg
+            if self.trace is not None:
+                for span in spans:
+                    self.trace.record_span(span)
+                for sample in samples:
+                    self.trace.record_queue(sample)
+                for blk in blocked:
+                    self.trace.record_blocked(blk)
+        elif kind == "done":
+            _, wid, epoch, failed = msg
+            if epoch != self.epoch:
+                # straggler handshake from a previous unit of work; its
+                # epoch already settled
+                return
+            if failed and self._recovering:
+                reason = self._ledgers[wid].pending_error or (
+                    f"filter {self._by_id[wid].label} failed"
+                )
+                self._maybe_restart(wid, reason)
+            else:
+                self._done.add(wid)
+        else:
+            # recovery progress of one copy, applied to its ledger
+            _LEDGER_OPS[kind](self._ledgers[msg[1]], *msg[2:])
 
     def _maybe_restart(self, wid: int, reason: str) -> bool:
         """Respawn a failed copy within budget; record the final error
         otherwise.  Returns True when a restart was launched."""
-        rec = self._recovery[wid]
+        ledger = self._ledgers[wid]
         w = self._by_id[wid]
         name = w.label.rsplit("#", 1)[0]
-        budget = self._policy.attempts_for(name)
-        if rec.attempts >= budget:
+        budget = self.retry.attempts_for(name)
+        if ledger.attempts >= budget:
             self.errors.append(
-                f"filter {w.label} failed after {rec.attempts} attempt(s) "
+                f"filter {w.label} failed after {ledger.attempts} attempt(s) "
                 f"(retry budget {budget}):\n{reason}"
             )
             return False
-        if not rec.restorable:
+        if not ledger.restorable:
             self.errors.append(
                 f"filter {w.label} cannot be restarted: its state was not "
                 f"picklable at the last checkpoint; original failure:\n{reason}"
@@ -347,18 +300,10 @@ class Supervisor:
         t0 = time.perf_counter()
         # reap the dead incarnation before its replacement starts
         w.process.join(timeout=5)
-        time.sleep(self._policy.backoff_for(rec.attempts))
-        progress = CopyProgress(
-            attempt=rec.attempts,
-            checkpoint=rec.checkpoint,
-            replay=sorted(rec.inflight.items()),
-            seq_start=rec.next_seq,
-            eos_preset=rec.eos_count,
-            emitted=set(rec.emitted),
-            eos_seen=rec.eos_seen,
-        )
-        rec.attempts += 1
-        rec.pending_error = None
+        time.sleep(self.retry.backoff_for(ledger.attempts))
+        progress = ledger.progress(ledger.attempts)
+        ledger.attempts += 1
+        ledger.pending_error = None
         self.restarts += 1
         w.process = self.respawn(wid, progress)
         self.heartbeats[wid] = time.monotonic()

@@ -1,7 +1,7 @@
 """Worker-process entry point: one long-lived process per filter copy.
 
 Each worker is forked once and then serves *work epochs*: for every epoch
-it runs the unit-of-work protocol shared with the threaded engine
+it runs the one copy loop shared with the threaded engine
 (:func:`~repro.datacutter.runtime.run_filter_copy` — ``init``, then either
 ``generate`` (source copies split packets round-robin) or a
 ``get``/``process`` loop until end-of-stream, then ``finalize``) and
@@ -48,10 +48,10 @@ respawns on the caller's side.  Each worker also stamps a heartbeat slot
 diagnostics can name the slowest/stalled filter.
 
 With recovery enabled (a :class:`~repro.datacutter.recovery.replay.CopyProgress`
-is passed for the epoch), the worker runs
-:func:`~repro.datacutter.recovery.replay.run_recoverable_copy` instead and
-additionally streams per-packet progress for the supervisor's restart
-bookkeeping:
+is passed for the epoch), the same loop runs with a
+:class:`~repro.datacutter.recovery.replay.CopyRecovery` strategy, and the
+worker additionally streams per-packet progress for the supervisor's
+:class:`~repro.datacutter.recovery.replay.CopyLedger` of the copy:
 
 * ``("inflight", worker_id, seq, buffer)`` — delivered, not yet done;
 * ``("ack", worker_id, seq, state_blob, restorable)`` — packet retired,
@@ -84,7 +84,7 @@ from ..filters import Filter, FilterContext, FilterSpec
 from ..obs.trace import Trace
 from ..recovery.checkpoint import CheckpointError, freeze_state
 from ..recovery.faults import FaultPlan, FaultSpec, make_injector
-from ..recovery.replay import CopyProgress, run_recoverable_copy
+from ..recovery.replay import CopyProgress, CopyRecovery
 from ..runtime import run_filter_copy
 from ..streams import RoundRobin
 from .arena import EpochArena
@@ -206,9 +206,13 @@ def _run_epoch(
     faults: FaultPlan | None,
     progress: CopyProgress | None,
 ) -> bool:
-    """One unit of work on this copy; returns True if the filter failed."""
+    """One unit of work on this copy; returns True if the filter failed.
+
+    A ``progress`` means the pool recovers: the copy loop runs with a
+    :class:`~repro.datacutter.recovery.replay.CopyRecovery` whose sink
+    ships progress to the supervisor, and an injected crash dies after
+    handing over what the successor needs."""
     label = f"{spec.name}#{copy_index}"
-    recovery = progress is not None
 
     def beat() -> None:
         heartbeats[worker_id] = time.monotonic()
@@ -238,25 +242,45 @@ def _run_epoch(
         params=spec.params,
     )
     filt: Filter = spec.make()
+    recovery = None
+    if progress is not None:
+        if in_edge is not None:
+            if progress.eos_preset:
+                in_edge.preset_eos(copy_index, progress.eos_preset)
+            in_edge.on_eos = lambda tally: control.put(("seos", worker_id, tally))
+
+        def crash(_fault: FaultSpec) -> None:
+            # fail-stop after the transport has flushed: committed packets,
+            # acks and undelivered input survive, then die with no error
+            # report and no 'done' — the supervisor must notice through the
+            # process sentinel alone
+            _hand_over(worker_id, copy_index, in_edge, out_edge, control)
+            try:
+                control.close()
+                control.join_thread()
+            except Exception:  # pragma: no cover - control pipe gone
+                pass
+            os._exit(1)
+
+        recovery = CopyRecovery(
+            progress,
+            ControlRecoverySink(control, worker_id),
+            make_injector(faults, spec.name, copy_index, progress.attempt, crash=crash),
+        )
     failed = False
     beat()
     try:
-        if recovery:
-            _run_recoverable(
-                worker_id, spec, copy_index, in_edge, out_edge, control,
-                filt, ctx, beat, trace, faults, progress,
-            )
-        else:
-            run_filter_copy(
-                filt,
-                ctx,
-                spec,
-                copy_index,
-                in_edge,
-                out_edge,
-                trace=trace,
-                heartbeat=beat,
-            )
+        run_filter_copy(
+            filt,
+            ctx,
+            spec,
+            copy_index,
+            in_edge,
+            out_edge,
+            trace=trace,
+            heartbeat=beat,
+            recovery=recovery,
+        )
     except BaseException:  # noqa: BLE001 - reported to the supervisor
         failed = True
         try:
@@ -265,7 +289,7 @@ def _run_epoch(
             pass
     finally:
         try:
-            if failed and recovery:
+            if failed and recovery is not None:
                 # a failed attempt must NOT close: a restarted incarnation
                 # keeps producing on this logical stream, and a premature
                 # end-of-stream flag would end it for every consumer
@@ -305,56 +329,6 @@ def _run_epoch(
         except Exception:  # pragma: no cover - control pipe gone
             pass
     return failed
-
-
-def _run_recoverable(
-    worker_id: int,
-    spec: FilterSpec,
-    copy_index: int,
-    in_edge: ProcessEdge | None,
-    out_edge: ProcessEdge,
-    control: Any,
-    filt: Filter,
-    ctx: FilterContext,
-    beat: Any,
-    trace: Any,
-    faults: FaultPlan | None,
-    progress: CopyProgress,
-) -> None:
-    if in_edge is not None:
-        if progress.eos_preset:
-            in_edge.preset_eos(copy_index, progress.eos_preset)
-        in_edge.on_eos = lambda tally: control.put(("seos", worker_id, tally))
-
-    def crash(_fault: FaultSpec) -> None:
-        # fail-stop after the transport has flushed: committed packets,
-        # acks and undelivered input survive, then die with no error
-        # report and no 'done' — the supervisor must notice through the
-        # process sentinel alone
-        _hand_over(worker_id, copy_index, in_edge, out_edge, control)
-        try:
-            control.close()
-            control.join_thread()
-        except Exception:  # pragma: no cover - control pipe gone
-            pass
-        os._exit(1)
-
-    injector = make_injector(
-        faults, spec.name, copy_index, progress.attempt, crash=crash
-    )
-    run_recoverable_copy(
-        filt,
-        ctx,
-        spec,
-        copy_index,
-        in_edge,
-        out_edge,
-        progress=progress,
-        sink=ControlRecoverySink(control, worker_id),
-        trace=trace,
-        heartbeat=beat,
-        injector=injector,
-    )
 
 
 def _hand_over(

@@ -25,13 +25,17 @@ loops) and the process engine's supervisor (worker respawn):
   tests, CI, and the ``python -m repro chaos`` CLI;
 * :mod:`~repro.datacutter.recovery.checkpoint` — accumulator
   snapshot/restore at packet boundaries;
-* :mod:`~repro.datacutter.recovery.replay` — the recoverable
-  unit-of-work runner (transactional per-packet emits, in-flight
-  tracking, replay) plus :class:`CopyProgress`, the record of one
-  logical copy's survivable progress that a restart resumes from.
+* :mod:`~repro.datacutter.recovery.replay` — :class:`CopyRecovery`,
+  the strategy that makes the one copy loop
+  (:func:`~repro.datacutter.runtime.run_filter_copy`) recoverable
+  (transactional per-packet emits, in-flight tracking, replay);
+  :class:`CopyLedger`, one logical copy's acknowledged progress on
+  either engine; and :class:`CopyProgress`, the resume point it builds
+  for a restart.
 
 Recovery is opt-in: with ``EngineOptions(retry=None, faults=None)`` —
-the default — both engines run the legacy zero-overhead path.
+the default — both engines run the copy loop without a strategy, which
+stages nothing and snapshots nothing.
 """
 
 from .checkpoint import (
@@ -50,28 +54,23 @@ from .faults import (
     InjectedCrash,
 )
 from .policy import RetryPolicy
-from .replay import (
-    CopyProgress,
-    LocalRecoverySink,
-    RecoverySink,
-    run_recoverable_copy,
-)
+from .replay import CopyLedger, CopyProgress, CopyRecovery, recovery_policy
 
 __all__ = [
     "FAULT_KINDS",
     "CheckpointError",
+    "CopyLedger",
     "CopyProgress",
+    "CopyRecovery",
     "FaultInjected",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
     "InjectedCrash",
-    "LocalRecoverySink",
-    "RecoverySink",
     "RetryPolicy",
     "clone_state",
     "freeze_state",
+    "recovery_policy",
     "restore_state",
-    "run_recoverable_copy",
     "snapshot_state",
 ]

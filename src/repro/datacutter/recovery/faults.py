@@ -122,9 +122,6 @@ class FaultInjector:
         self._crash = crash
         self._heartbeat_dropped = False
 
-    def __bool__(self) -> bool:
-        return bool(self._faults)
-
     def wrap_heartbeat(self, heartbeat):
         """Heartbeat passthrough that ``drop_heartbeat`` can switch off."""
         if heartbeat is None or not any(

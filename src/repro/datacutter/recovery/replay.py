@@ -1,9 +1,9 @@
-"""The recoverable unit-of-work runner: transactional emits + replay.
+"""Packet-granularity recovery as a strategy of the one copy loop.
 
-This is the fault-tolerant twin of
-:func:`repro.datacutter.runtime.run_filter_copy`, sharing its protocol
-(``init``, then ``generate`` or a ``get``/``process`` loop, then
-``finalize``) but making every packet a transaction:
+:func:`repro.datacutter.runtime.run_filter_copy` runs every filter copy
+on both engines.  Given no strategy it sends emits straight downstream
+and takes no snapshot.  Given a :class:`CopyRecovery` it makes every
+packet a transaction:
 
 1. a delivered packet is reported **in flight** before processing;
 2. emissions during ``process``/``generate`` are *staged*, not sent;
@@ -14,6 +14,11 @@ This is the fault-tolerant twin of
 4. a copy that dies mid-packet therefore leaves nothing downstream for
    that packet — the restarted copy replays exactly the unacknowledged
    packets on top of the last checkpoint.
+
+The reports land in a :class:`CopyLedger`, one per logical copy: in the
+threaded engine's retry loop directly, in the process engine's
+supervisor as control messages.  The ledger builds the
+:class:`CopyProgress` the next attempt resumes from.
 
 Delivery is at-least-once: the engines guarantee a packet is never lost,
 and the staging discipline turns replays into exactly-once *effects* for
@@ -34,24 +39,23 @@ structurally impossible.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any
 
 from ..buffers import Buffer
-from ..filters import Filter, FilterContext, FilterSpec, SourceFilter
-from ..obs.trace import Span, TraceCollector
+from ..filters import Filter, FilterContext
 from .checkpoint import clone_state, restore_state, snapshot_state
-from .faults import FaultInjector
+from .faults import FaultInjector, FaultPlan
+from .policy import RetryPolicy
 
 
 @dataclass(slots=True)
 class CopyProgress:
     """One logical filter copy's survivable progress.
 
-    Built by the recovery manager (the retry loop on the threaded
-    engine, the supervisor on the process engine) from everything the
-    previous attempts acknowledged; a restarted copy resumes from it."""
+    Built by :meth:`CopyLedger.progress` from everything the previous
+    attempts acknowledged (the ledger's fields of the same meaning); a
+    restarted copy resumes from it."""
 
     #: 0 for the first run, incremented per restart
     attempt: int = 0
@@ -67,42 +71,60 @@ class CopyProgress:
     eos_preset: int = 0
     #: source mode: owned packet indices already flushed downstream
     emitted: set[int] = field(default_factory=set)
-    #: threaded engine: the input stream's single EOS was consumed
+    #: the input stream was fully closed before the dead copy failed
     eos_seen: bool = False
 
 
-class RecoverySink(Protocol):
-    """Where the runner reports per-packet progress.
+def recovery_policy(
+    retry: RetryPolicy | None, faults: FaultPlan | None
+) -> RetryPolicy | None:
+    """The retry policy a run recovers under, or None: recovery is off.
 
-    The threaded engine records in memory (:class:`LocalRecoverySink`);
-    the process engine ships control-queue messages to the supervisor."""
-
-    def on_inflight(self, seq: int, buf: Buffer) -> None: ...  # pragma: no cover
-
-    def on_ack(self, seq: int, state: dict | None) -> None: ...  # pragma: no cover
-
-    def on_gen_ack(self, packet: int) -> None: ...  # pragma: no cover
-
-    def on_eos(self) -> None: ...  # pragma: no cover
+    The one place either engine decides whether a run recovers.  A fault
+    plan without a retry policy still recovers, on a budget of one
+    attempt, so an injected fault fails the run like a filter bug."""
+    if retry is None and not faults:
+        return None
+    return retry or RetryPolicy(max_attempts=1)
 
 
-class LocalRecoverySink:
-    """In-memory recovery bookkeeping for same-process (threaded) retry."""
+@dataclass(slots=True)
+class CopyLedger:
+    """Everything the attempts of one logical filter copy acknowledged.
 
-    def __init__(self) -> None:
-        self.inflight: dict[int, Buffer] = {}
-        self.state: Any = None
-        self.next_seq: int = 0
-        self.emitted: set[int] = set()
-        self.eos_seen: bool = False
+    The threaded engine's retry loop hands it to the copy loop as the
+    sink itself; the process engine's supervisor applies the workers'
+    control messages to it.  :meth:`progress` is the resume point of the
+    next attempt either way."""
+
+    #: process engine: checkpoints arrive pickled (immutable bytes); the
+    #: threaded engine's live state dicts are cloned on the way in and out
+    pickled: bool = False
+    #: attempts started so far (the first run counts as 1)
+    attempts: int = 1
+    checkpoint: Any = None
+    #: False once a checkpoint could not be pickled: no restart possible
+    restorable: bool = True
+    #: delivered-but-unacknowledged packets, keyed by delivery sequence
+    inflight: dict[int, Buffer] = field(default_factory=dict)
+    next_seq: int = 0
+    eos_count: int = 0
+    eos_seen: bool = False
+    emitted: set[int] = field(default_factory=set)
+    #: traceback text of the latest failure report, if any
+    pending_error: str | None = None
+
+    def _detach(self, state: Any) -> Any:
+        return state if self.pickled else clone_state(state)
 
     def on_inflight(self, seq: int, buf: Buffer) -> None:
         self.inflight[seq] = buf
         self.next_seq = max(self.next_seq, seq + 1)
 
-    def on_ack(self, seq: int, state: dict | None) -> None:
-        # clone before the next packet mutates the live accumulator
-        self.state = clone_state(state)
+    def on_ack(self, seq: int, state: Any, restorable: bool = True) -> None:
+        # detach before the next packet mutates the live accumulator
+        self.checkpoint = self._detach(state)
+        self.restorable = restorable
         self.inflight.pop(seq, None)
         self.next_seq = max(self.next_seq, seq + 1)
 
@@ -112,173 +134,110 @@ class LocalRecoverySink:
     def on_eos(self) -> None:
         self.eos_seen = True
 
+    def on_eos_tally(self, tally: int) -> None:
+        self.eos_count = max(self.eos_count, tally)
+
+    def on_spill(self, bufs: list[Buffer]) -> None:
+        # received by the failed attempt but never processed: they replay
+        # right after the packet it failed on
+        for buf in bufs:
+            self.inflight[self.next_seq] = buf
+            self.next_seq += 1
+
     def progress(self, attempt: int) -> CopyProgress:
-        """The resume point for the next attempt."""
-        # clone again on the way out: the restored filter mutates its
+        """The resume point for attempt ``attempt``."""
+        # detach again on the way out: the restored filter mutates its
         # accumulators in place, and a failure before the next ack must
         # not leak those partial effects back into the stored checkpoint
         return CopyProgress(
             attempt=attempt,
-            checkpoint=clone_state(self.state),
+            checkpoint=self._detach(self.checkpoint),
             replay=sorted(self.inflight.items()),
             seq_start=self.next_seq,
+            eos_preset=self.eos_count,
             emitted=set(self.emitted),
             eos_seen=self.eos_seen,
         )
 
 
-def run_recoverable_copy(
-    filt: Filter,
-    ctx: FilterContext,
-    spec: FilterSpec,
-    copy_index: int,
-    in_stream: Any,
-    out_stream: Any,
-    *,
-    progress: CopyProgress,
-    sink: RecoverySink,
-    trace: TraceCollector | None = None,
-    heartbeat: Any = None,
-    injector: FaultInjector | None = None,
-) -> None:
-    """One attempt of one filter copy under the recovery protocol.
+class CopyRecovery:
+    """The recovery strategy of one copy attempt.
 
-    Raising (a filter bug or an injected fault) leaves the streams
-    consistent: nothing for the failing packet was emitted, and the
-    sink knows exactly which packets are unacknowledged.  The caller
-    (retry loop / respawned worker) decides whether another attempt
-    follows; ``out_stream.close_producer()`` is the caller's job and
-    must happen exactly once per *logical* copy, after the final
-    attempt's outcome is known.  So is the threaded engine's baton: the
-    caller holds it across the attempt and releases it however the
-    attempt ends; in here only the stream operations (``flush``'s puts,
-    the consumer's gets) pass it on while they block.
-    """
-    if injector is not None:
-        heartbeat = injector.wrap_heartbeat(heartbeat)
+    :func:`~repro.datacutter.runtime.run_filter_copy` calls it at the
+    packet boundaries when it is given one.  ``sink`` receives the
+    progress reports: ``on_inflight(seq, buf)``, ``on_ack(seq, state)``,
+    ``on_gen_ack(packet)`` and ``on_eos()`` — a :class:`CopyLedger` on
+    the threaded engine, control messages to the supervisor on the
+    process engine.  ``injector`` fires the attempt's injected faults, if
+    any."""
 
-    staged: list[Buffer] = []
-    ctx._emit = staged.append
+    __slots__ = ("progress", "sink", "injector", "_staged", "_out", "_in",
+                 "_replay", "_seq", "_next")
 
-    def flush() -> None:
-        for buf in staged:
-            out_stream.put(buf)
-        staged.clear()
+    def __init__(
+        self,
+        progress: CopyProgress,
+        sink: Any,
+        injector: FaultInjector | None = None,
+    ) -> None:
+        self.progress = progress
+        self.sink = sink
+        self.injector = injector or FaultInjector(())
+        self._staged: list[Buffer] = []
+        self._replay = list(progress.replay)
+        #: delivery sequence of the packet being processed / of the next
+        self._seq = self._next = progress.seq_start
 
-    t0 = time.perf_counter()
-    filt.init(ctx)
-    if progress.checkpoint is not None:
-        restore_state(filt, progress.checkpoint, ctx)
-    if trace is not None:
-        trace.record_span(
-            Span(spec.name, copy_index, "init", None, t0, time.perf_counter())
-        )
+    def attach(
+        self, ctx: FilterContext, in_stream: Any, out_stream: Any, heartbeat: Any
+    ) -> Any:
+        """Stage the copy's emits; returns the heartbeat to stamp."""
+        self._in, self._out = in_stream, out_stream
+        ctx._emit = self._staged.append
+        return self.injector.wrap_heartbeat(heartbeat)
 
-    if in_stream is None:
-        _run_source(
-            filt, ctx, spec, copy_index, progress, sink,
-            staged, flush, trace, heartbeat, injector,
-        )
-    else:
-        _run_consumer(
-            filt, ctx, spec, copy_index, in_stream, progress, sink,
-            flush, trace, heartbeat, injector,
-        )
+    def restore(self, filt: Filter, ctx: FilterContext) -> None:
+        """Resume the freshly initialised filter from the checkpoint."""
+        restore_state(filt, self.progress.checkpoint, ctx)
 
-    t0 = time.perf_counter()
-    filt.finalize(ctx)
-    flush()
-    if trace is not None:
-        trace.record_span(
-            Span(spec.name, copy_index, "finalize", None, t0, time.perf_counter())
-        )
+    def flush(self) -> None:
+        """Send the staged emits downstream: they are committed."""
+        for buf in self._staged:
+            self._out.put(buf)
+        self._staged.clear()
 
+    # -------------------------------------------------------------- source
+    def fresh(self, packet: int) -> bool:
+        """Whether owned ``packet`` still has to be emitted; a restarted
+        source regenerates everything but skips what it already flushed."""
+        self.injector.on_packet(packet)
+        return packet not in self.progress.emitted
 
-def _run_source(
-    filt, ctx, spec, copy_index, progress, sink,
-    staged, flush, trace, heartbeat, injector,
-) -> None:
-    if not isinstance(filt, SourceFilter):
-        raise TypeError(f"first filter '{spec.name}' must be a SourceFilter")
-    gen = filt.generate(ctx)
-    packet = 0
-    while True:
-        if heartbeat is not None:
-            heartbeat()
-        t0 = time.perf_counter()
-        try:
-            payload = next(gen)
-        except StopIteration:
-            break
-        if packet % spec.width == copy_index:
-            # only owned packets are traced: the other width-1 copies
-            # generate-and-discard this packet too, and counting it
-            # width times would inflate measured source cost
-            if trace is not None:
-                trace.record_span(
-                    Span(
-                        spec.name,
-                        copy_index,
-                        "generate",
-                        packet,
-                        t0,
-                        time.perf_counter(),
-                    )
-                )
-            if injector is not None:
-                injector.on_packet(packet)
-            if packet not in progress.emitted:
-                if isinstance(payload, Buffer):
-                    staged.append(payload)
-                else:
-                    ctx.write(payload, packet)
-                flush()
-                progress.emitted.add(packet)
-                sink.on_gen_ack(packet)
-        packet += 1
+    def generated(self, packet: int) -> None:
+        self.flush()
+        self.sink.on_gen_ack(packet)
 
+    # ------------------------------------------------------------ consumer
+    def get(self, copy_index: int) -> Buffer | None:
+        """The next packet to process: the unacknowledged ones first, then
+        the input stream's, each reported in flight; None at end of
+        stream.  The attempt's fault fires here, before ``process``."""
+        if self._replay:
+            self._seq, buf = self._replay.pop(0)
+        elif self.progress.eos_seen:
+            return None
+        else:
+            buf = self._in.get(copy_index)
+            if buf is None:
+                self.sink.on_eos()
+                return None
+            self._seq, self._next = self._next, self._next + 1
+            self.sink.on_inflight(self._seq, buf)
+        self.injector.on_packet(buf.packet)
+        return buf
 
-def _run_consumer(
-    filt, ctx, spec, copy_index, in_stream, progress, sink,
-    flush, trace, heartbeat, injector,
-) -> None:
-    def handle(seq: int, buf: Buffer, report: bool) -> None:
-        if report:
-            sink.on_inflight(seq, buf)
-        if heartbeat is not None:
-            heartbeat()
-        if injector is not None:
-            injector.on_packet(buf.packet)
-        t0 = time.perf_counter()
-        filt.process(buf, ctx)
-        if trace is not None:
-            trace.record_span(
-                Span(
-                    spec.name,
-                    copy_index,
-                    "process",
-                    buf.packet,
-                    t0,
-                    time.perf_counter(),
-                )
-            )
-        flush()
-        # ack carries the post-packet snapshot: the packet is either in
-        # the checkpoint or in the replay set, never both
-        sink.on_ack(seq, snapshot_state(filt, ctx))
-
-    replay, progress.replay = list(progress.replay), []
-    for seq, buf in replay:
-        handle(seq, buf, report=False)
-
-    if progress.eos_seen:
-        return
-    seq = progress.seq_start
-    while True:
-        buf = in_stream.get(copy_index)
-        if buf is None:
-            progress.eos_seen = True
-            sink.on_eos()
-            break
-        handle(seq, buf, report=True)
-        seq += 1
+    def processed(self, filt: Filter, ctx: FilterContext) -> None:
+        self.flush()
+        # the ack carries the post-packet snapshot: the packet is either
+        # in the checkpoint or in the replay set, never both
+        self.sink.on_ack(self._seq, snapshot_state(filt, ctx))

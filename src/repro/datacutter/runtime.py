@@ -37,7 +37,7 @@ from .filters import Filter, FilterContext, FilterSpec, SourceFilter
 from .obs.trace import Span, TraceCollector
 from .recovery.faults import FaultPlan, make_injector
 from .recovery.policy import RetryPolicy
-from .recovery.replay import LocalRecoverySink, run_recoverable_copy
+from .recovery.replay import CopyLedger, CopyRecovery, recovery_policy
 from .streams import Baton, CollectorStream, LogicalStream, RoundRobin
 
 
@@ -136,6 +136,7 @@ class ThreadedPipeline:
             trace=trace,
         )
         out_streams: list[LogicalStream] = streams + [collector]
+        policy = recovery_policy(self.retry, self.faults)
         errors: list[str] = []
         threads: list[threading.Thread] = []
 
@@ -146,7 +147,8 @@ class ThreadedPipeline:
                 thread = threading.Thread(
                     target=self._run_copy,
                     args=(
-                        spec, copy_index, in_stream, out_stream, errors, trace, baton
+                        spec, copy_index, in_stream, out_stream, errors, trace,
+                        baton, policy,
                     ),
                     name=f"{spec.name}#{copy_index}",
                     daemon=True,
@@ -204,109 +206,74 @@ class ThreadedPipeline:
         errors: list[str],
         trace: TraceCollector | None,
         baton: Baton,
+        policy: RetryPolicy | None,
     ) -> None:
-        """Thread body of one filter copy: run it holding the baton.
+        """Thread body of one filter copy: its attempts, holding the baton.
 
-        Whatever ends the copy — end of stream, a filter bug, an injected
-        fault — the baton goes back first (the other copies of the
-        pipeline must be able to run on), then the output stream is
-        closed, without the baton because the end-of-stream put may block."""
+        Without a recovery ``policy`` there is one attempt.  With one, each
+        attempt is a fresh filter instance resumed from the copy's
+        :class:`~repro.datacutter.recovery.replay.CopyLedger`, after a
+        back-off slept without the baton.  Whatever ends the copy — end of
+        stream, a filter bug, an injected fault, ``SystemExit`` — the baton
+        goes back first (the other copies must be able to run on), then
+        the output stream is closed, without the baton because the
+        end-of-stream put may block."""
+        ledger = CopyLedger() if policy is not None else None
+        budget = policy.attempts_for(spec.name) if policy is not None else 1
         baton.acquire()
         try:
-            if self.retry is not None or self.faults is not None:
-                self._run_copy_recoverable(
-                    spec, copy_index, in_stream, out_stream, errors, trace, baton
+            for attempt in range(budget):
+                if attempt > 0:
+                    restart_t0 = time.perf_counter()
+                    with baton.paused():
+                        time.sleep(policy.backoff_for(attempt))
+                ctx = FilterContext(
+                    name=spec.name,
+                    copy_index=copy_index,
+                    n_copies=spec.width,
+                    emit=out_stream.put,
+                    params=spec.params,
                 )
-                return
-            ctx = FilterContext(
-                name=spec.name,
-                copy_index=copy_index,
-                n_copies=spec.width,
-                emit=out_stream.put,
-                params=spec.params,
-            )
-            filt: Filter = spec.make()
-            try:
-                run_filter_copy(
-                    filt, ctx, spec, copy_index, in_stream, out_stream, trace
-                )
-            except Exception:  # noqa: BLE001 - reported to the caller
-                errors.append(
-                    f"filter {spec.name}#{copy_index} failed:\n"
-                    f"{traceback.format_exc()}"
-                )
+                filt: Filter = spec.make()
+                recovery = None
+                if ledger is not None:
+                    recovery = CopyRecovery(
+                        ledger.progress(attempt),
+                        ledger,
+                        make_injector(self.faults, spec.name, copy_index, attempt),
+                    )
+                if attempt > 0 and trace is not None:
+                    trace.record_span(
+                        Span(
+                            spec.name,
+                            copy_index,
+                            "restart",
+                            None,
+                            restart_t0,
+                            time.perf_counter(),
+                        )
+                    )
+                try:
+                    run_filter_copy(
+                        filt, ctx, spec, copy_index, in_stream, out_stream,
+                        trace=trace, recovery=recovery,
+                    )
+                    return
+                except BaseException:  # noqa: BLE001 - retried or reported
+                    if attempt + 1 < budget:
+                        continue
+                    tries = (
+                        f" after {budget} attempt(s) (retry budget {budget})"
+                        if ledger is not None
+                        else ""
+                    )
+                    errors.append(
+                        f"filter {spec.name}#{copy_index} failed{tries}:\n"
+                        f"{traceback.format_exc()}"
+                    )
         finally:
             baton.release()
             out_stream.close_producer()
-
-    def _run_copy_recoverable(
-        self,
-        spec: FilterSpec,
-        copy_index: int,
-        in_stream: LogicalStream | None,
-        out_stream: LogicalStream,
-        errors: list[str],
-        trace: TraceCollector | None,
-        baton: Baton,
-    ) -> None:
-        """In-thread retry loop for one logical filter copy.
-
-        Each attempt gets a fresh filter instance resumed from the
-        :class:`~repro.datacutter.recovery.replay.LocalRecoverySink`'s
-        bookkeeping — checkpointed state plus replay of unacknowledged
-        packets — so a mid-packet failure never loses or duplicates
-        packet effects downstream.  The back-off between attempts is slept
-        without the baton."""
-        policy = self.retry or RetryPolicy(max_attempts=1)
-        budget = policy.attempts_for(spec.name)
-        sink = LocalRecoverySink()
-        for attempt in range(budget):
-            if attempt > 0:
-                restart_t0 = time.perf_counter()
-                with baton.paused():
-                    time.sleep(policy.backoff_for(attempt))
-            ctx = FilterContext(
-                name=spec.name,
-                copy_index=copy_index,
-                n_copies=spec.width,
-                emit=out_stream.put,
-                params=spec.params,
-            )
-            filt: Filter = spec.make()
-            injector = make_injector(self.faults, spec.name, copy_index, attempt)
-            if attempt > 0 and trace is not None:
-                trace.record_span(
-                    Span(
-                        spec.name,
-                        copy_index,
-                        "restart",
-                        None,
-                        restart_t0,
-                        time.perf_counter(),
-                    )
-                )
-            try:
-                run_recoverable_copy(
-                    filt,
-                    ctx,
-                    spec,
-                    copy_index,
-                    in_stream,
-                    out_stream,
-                    progress=sink.progress(attempt),
-                    sink=sink,
-                    trace=trace,
-                    injector=injector,
-                )
-                return
-            except Exception:  # noqa: BLE001 - retried or reported
-                if attempt + 1 >= budget:
-                    errors.append(
-                        f"filter {spec.name}#{copy_index} failed after "
-                        f"{attempt + 1} attempt(s) (retry budget {budget}):\n"
-                        f"{traceback.format_exc()}"
-                    )
-                    return
 
 
 def run_filter_copy(
@@ -316,10 +283,13 @@ def run_filter_copy(
     copy_index: int,
     in_stream: Any,
     out_stream: Any,
+    *,
     trace: TraceCollector | None = None,
     heartbeat: Any = None,
+    recovery: CopyRecovery | None = None,
 ) -> None:
-    """The unit-of-work protocol of one filter copy, shared by both engines.
+    """The unit-of-work protocol of one filter copy, the one loop of both
+    engines.
 
     ``init``, then either ``generate`` (source copies split packets
     round-robin) or a ``get``/``process`` loop until end-of-stream, then
@@ -331,9 +301,20 @@ def run_filter_copy(
     the engine-native measurement the experiment harness consumes.
     ``heartbeat`` (process engine) is stamped once per packet so the
     supervisor's timeout diagnostics can name a stalled filter.
+
+    Without a ``recovery`` strategy, emits go straight to ``out_stream``.
+    With a :class:`~repro.datacutter.recovery.replay.CopyRecovery`, the
+    copy resumes from its checkpoint, replays the unacknowledged packets
+    first, and commits each packet's staged emits before acknowledging it
+    with a snapshot; the caller closes ``out_stream`` once per *logical*
+    copy, after the final attempt's outcome is known.
     """
+    if recovery is not None:
+        heartbeat = recovery.attach(ctx, in_stream, out_stream, heartbeat)
     t0 = time.perf_counter()
     filt.init(ctx)
+    if recovery is not None:
+        recovery.restore(filt, ctx)
     if trace is not None:
         trace.record_span(
             Span(spec.name, copy_index, "init", None, t0, time.perf_counter())
@@ -367,14 +348,18 @@ def run_filter_copy(
                             time.perf_counter(),
                         )
                     )
-                if isinstance(payload, Buffer):
-                    out_stream.put(payload)
-                else:
-                    ctx.write(payload, packet)
+                if recovery is None or recovery.fresh(packet):
+                    if isinstance(payload, Buffer):
+                        ctx.write_buffer(payload)
+                    else:
+                        ctx.write(payload, packet)
+                    if recovery is not None:
+                        recovery.generated(packet)
             packet += 1
     else:
+        get = in_stream.get if recovery is None else recovery.get
         while True:
-            buf = in_stream.get(copy_index)
+            buf = get(copy_index)
             if heartbeat is not None:
                 heartbeat()
             if buf is None:
@@ -392,14 +377,13 @@ def run_filter_copy(
                         time.perf_counter(),
                     )
                 )
+            if recovery is not None:
+                recovery.processed(filt, ctx)
     t0 = time.perf_counter()
     filt.finalize(ctx)
+    if recovery is not None:
+        recovery.flush()
     if trace is not None:
         trace.record_span(
             Span(spec.name, copy_index, "finalize", None, t0, time.perf_counter())
         )
-
-
-# run_pipeline moved to repro.datacutter.engine, where it dispatches over
-# the engine registry (threaded / process); re-exported unchanged from the
-# repro.datacutter package.

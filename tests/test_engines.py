@@ -9,6 +9,7 @@ the filter, with no hung run and no orphaned workers.
 
 import os
 import signal
+import sys
 import threading
 
 import numpy as np
@@ -163,6 +164,15 @@ class _Suicide(Filter):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+class _ExitOnPacket1(Filter):
+    """Raises ``SystemExit``, a ``BaseException`` but not an ``Exception``."""
+
+    def process(self, buf, ctx):
+        if buf.packet == 1:
+            sys.exit(3)
+        ctx.write(buf.payload, buf.packet)
+
+
 _unstick = threading.Event()
 
 
@@ -205,6 +215,24 @@ def test_error_in_one_copy_fails_run(engine):
         no_orphans()
     else:
         no_orphans(thread_prefix="boom#")
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_system_exit_in_filter_fails_run(engine):
+    """A filter that calls ``sys.exit`` fails the run on both engines,
+    naming the copy, instead of ending its thread quietly and returning
+    the packets that got through."""
+    specs = [
+        FilterSpec("src", _Range, params={"n": 4}),
+        FilterSpec("quit", _ExitOnPacket1, placement=1),
+        FilterSpec("sum", _Sum, placement=2),
+    ]
+    with pytest.raises(PipelineError, match="filter quit#0 failed"):
+        _run(specs, engine)
+    if engine == "process":
+        no_orphans()
+    else:
+        no_orphans(thread_prefix="quit#")
 
 
 def test_killed_worker_detected():

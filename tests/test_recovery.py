@@ -112,7 +112,7 @@ def options_for(engine: str, **overrides) -> EngineOptions:
 
 
 @pytest.mark.parametrize("engine", ["threaded", "process"])
-@pytest.mark.parametrize("kind", ["exception", "crash"])
+@pytest.mark.parametrize("kind", ["exception", "crash", "none"])
 @pytest.mark.parametrize("stage", ["src", "mid", "sink"])
 @pytest.mark.parametrize("width", [1, 2])
 def test_injected_fault_heals(engine, kind, stage, width):
@@ -126,23 +126,32 @@ def test_injected_fault_heals(engine, kind, stage, width):
     assert baseline.payloads, "baseline produced no output"
 
     trace = Trace()
+    faults = (
+        None
+        if kind == "none"
+        else [FaultSpec(filter=stage, kind=kind, copy=target_copy, packet=packet)]
+    )
     faulted = run_pipeline(
         make_specs(width),
-        options_for(
-            engine,
-            trace=trace,
-            retry=FAST_RETRY,
-            faults=[
-                FaultSpec(filter=stage, kind=kind, copy=target_copy, packet=packet)
-            ],
-        ),
+        options_for(engine, trace=trace, retry=FAST_RETRY, faults=faults),
     )
     assert _canonical_outputs(faulted.outputs) == _canonical_outputs(
         baseline.outputs
     )
+    if kind == "none":
+        # recovery on with nothing to recover: the same bytes on every
+        # stream as the default path, and no restart
+        assert_no_fault_parity(faulted, baseline, trace)
+        return
     restarts = trace.restarts(stage)
     assert len(restarts) == 1
     assert restarts[0].phase == "restart"
+
+
+def assert_no_fault_parity(recovered, baseline, trace):
+    assert recovered.stream_bytes == baseline.stream_bytes
+    assert recovered.stream_buffers == baseline.stream_buffers
+    assert trace.restarts() == []
 
 
 @pytest.mark.parametrize("engine", ["threaded", "process"])
@@ -243,6 +252,16 @@ def test_compiled_app_crash_recovery(engine):
     env = cluster_config(1)
     specs, _ = _specs_for_version(app, workload, "Decomp-Comp", env)
     baseline = run_pipeline(specs, options_for(engine))
+
+    # no fault: a retry policy alone changes nothing the run produces
+    trace = Trace()
+    unfaulted = run_pipeline(
+        specs, options_for(engine, trace=trace, retry=RetryPolicy())
+    )
+    assert _canonical_outputs(unfaulted.outputs) == _canonical_outputs(
+        baseline.outputs
+    )
+    assert_no_fault_parity(unfaulted, baseline, trace)
 
     target = specs[len(specs) // 2].name
     trace = Trace()
@@ -536,10 +555,44 @@ def test_post_eos_deadline_fails_silent_worker():
     assert not proc.is_alive()  # teardown reaped the silent worker
 
 
-def test_recovery_is_opt_in():
-    """Default options keep the legacy zero-overhead path on both engines."""
-    from repro.datacutter import ThreadedPipeline
+def test_default_path_costs_nothing(monkeypatch):
+    """Exact counts: a default run takes no snapshot (threaded) and sends
+    no recovery control message (process); a retry policy with no faults
+    takes one snapshot, and sends one ack, per consumed packet."""
+    from repro.datacutter.mp.supervisor import Supervisor
+    from repro.datacutter.recovery import replay
 
-    pipe = ThreadedPipeline(make_specs(1))
-    assert pipe.retry is None and pipe.faults is None
-    assert EngineOptions().retry is None and EngineOptions().faults is None
+    counts: dict[str, int] = {}
+
+    def counting_snapshot(filt, ctx=None):
+        counts["snapshot"] = counts.get("snapshot", 0) + 1
+        return snapshot_state(filt, ctx)
+
+    apply = Supervisor._apply
+
+    def counting_apply(self, msg):
+        counts[msg[0]] = counts.get(msg[0], 0) + 1
+        apply(self, msg)
+
+    monkeypatch.setattr(replay, "snapshot_state", counting_snapshot)
+    monkeypatch.setattr(Supervisor, "_apply", counting_apply)
+    # the snapshots of the process engine are taken in its workers; the
+    # parent counts the control messages they send instead
+    watched = {"threaded": ("snapshot",), "process": ("inflight", "ack", "genack")}
+    for engine, kinds in watched.items():
+        counts.clear()
+        run_pipeline(make_specs(1), options_for(engine))
+        assert {k: counts.get(k, 0) for k in kinds} == dict.fromkeys(kinds, 0)
+
+        counts.clear()
+        result = run_pipeline(
+            make_specs(1), options_for(engine, retry=RetryPolicy())
+        )
+        consumed = sum(
+            n
+            for name, n in result.stream_buffers.items()
+            if not name.endswith("->out")
+        )
+        assert consumed == 20
+        per_packet = "snapshot" if engine == "threaded" else "ack"
+        assert counts[per_packet] == consumed, engine

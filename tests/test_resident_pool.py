@@ -11,6 +11,7 @@ in-flight run fails that run with a structured error instead of hanging
 or leaking processes.
 """
 
+import multiprocessing
 import os
 import threading
 import time
@@ -309,8 +310,14 @@ def test_warm_hops_reuse_every_segment_exactly():
 # ---------------------------------------------------------------------------
 
 
+#: set by a stalled worker once it is inside ``process``; created before
+#: any fork, so every worker inherits it
+_stalled = multiprocessing.get_context("fork").Event()
+
+
 class StalledFilter(Filter):
     def process(self, buf, ctx):
+        _stalled.set()
         time.sleep(30.0)
         ctx.write(buf.payload, buf.packet)
 
@@ -333,9 +340,10 @@ def test_close_racing_inflight_run_fails_structured():
         except BaseException as err:  # noqa: BLE001 - recorded for asserts
             outcome.append(("raised", err))
 
+    _stalled.clear()
     t = threading.Thread(target=runner, daemon=True)
     t.start()
-    time.sleep(1.0)  # let the workers fork and wedge inside the stall
+    assert _stalled.wait(timeout=30), "the stalled filter never started"
     t_close = time.monotonic()
     session.close()
     close_seconds = time.monotonic() - t_close
