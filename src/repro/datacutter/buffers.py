@@ -24,6 +24,11 @@ class BufferKind(enum.Enum):
     END_OF_WORK = "end_of_work"  # end of one unit-of-work (one query)
 
 
+#: hoisted: an enum member read off its class goes through the enum
+#: metaclass, a cost ``StreamStats.record`` would pay on every hop
+_DATA = BufferKind.DATA
+
+
 @dataclass(slots=True)
 class Buffer:
     """One stream transfer unit."""
@@ -36,7 +41,7 @@ class Buffer:
 
     @property
     def is_data(self) -> bool:
-        return self.kind is BufferKind.DATA
+        return self.kind is _DATA
 
     @property
     def nbytes(self) -> int:
@@ -76,9 +81,9 @@ class StreamStats:
     by_packet: dict[int, int] = field(default_factory=dict)
 
     def record(self, buf: Buffer) -> None:
-        if not buf.is_data:
+        if buf.kind is not _DATA:
             return
+        size = payload_nbytes(buf.payload)
         self.buffers += 1
-        size = buf.nbytes
         self.bytes += size
         self.by_packet[buf.packet] = self.by_packet.get(buf.packet, 0) + size

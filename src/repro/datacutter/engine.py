@@ -5,9 +5,9 @@ and returns the same :class:`RunResult`; they differ only in *where* the
 filter copies run:
 
 * ``"threaded"`` — :class:`~repro.datacutter.runtime.ThreadedPipeline`:
-  one thread per copy.  Cheap to start, shares memory freely, but
-  CPU-bound filters serialize behind the GIL — use it for correctness
-  runs and I/O-bound filters.
+  one scheduler loop calls every copy's steps on one engine-owned
+  thread.  Cheap to start, shares memory freely, deterministic, but
+  copies never overlap — use it for correctness runs and light filters.
 * ``"process"`` — :class:`~repro.datacutter.mp.ProcessPipeline`: one
   process per copy with shared-memory buffer transport.  True parallelism
   for CPU-bound pipelines at the cost of process startup and one
@@ -72,12 +72,13 @@ class EngineOptions:
 
     #: execution substrate: a key of :data:`ENGINES`
     engine: str = "threaded"
-    #: per-consumer stream queue bound (the backpressure window)
+    #: per-consumer stream queue bound: the process engine's credit
+    #: window, the depth where the threaded engine's loop holds a producer
     queue_capacity: int = 32
-    #: threaded engine: seconds to wait for filter threads before
-    #: declaring the pipeline stuck; process engine: post-end-of-stream
-    #: completion deadline (how long workers may take to hand in 'done'
-    #: after the last output arrived)
+    #: threaded engine: seconds the scheduler loop may go without taking
+    #: a step before the copy in its callback is declared stuck; process
+    #: engine: post-end-of-stream completion deadline (how long workers
+    #: may take to hand in 'done' after the last output arrived)
     join_timeout: float = 60.0
     #: process engine: optional wall-clock cap enforced by the supervisor
     timeout: float | None = None
@@ -101,16 +102,15 @@ class EngineOptions:
         if not isinstance(self.engine, str) or not self.engine:
             raise ValueError("engine must be a non-empty engine name")
         if self.queue_capacity < 1:
-            # queue.Queue(0) would silently mean *unbounded*, removing all
-            # backpressure — reject it loudly instead
+            # a window of 0 would never let a buffer through
             raise ValueError(
                 f"queue_capacity must be >= 1, got {self.queue_capacity} "
                 "(capacity 0 would silently disable backpressure)"
             )
         if self.join_timeout <= 0:
             # a non-positive join timeout declares every pipeline stuck on
-            # arrival (threaded) or fails the post-EOS handshake instantly
-            # (process) — never what the caller meant
+            # its first step (threaded) or fails the post-EOS handshake
+            # instantly (process) — never what the caller meant
             raise ValueError(
                 f"join_timeout must be > 0, got {self.join_timeout}"
             )

@@ -45,14 +45,13 @@ class FilterContext:
         self.copy_index = copy_index
         self.n_copies = n_copies
         self._emit = emit
+        self._origin = f"{name}#{copy_index}"
         #: run parameters (isovalue, query window, ...) shared by all copies
         self.params: dict[str, Any] = params or {}
 
     def write(self, payload: Any, packet: int = -1) -> None:
         """Send one buffer downstream."""
-        self._emit(
-            Buffer(payload=payload, packet=packet, origin=f"{self.name}#{self.copy_index}")
-        )
+        self._emit(Buffer(payload=payload, packet=packet, origin=self._origin))
 
     def write_buffer(self, buf: Buffer) -> None:
         self._emit(buf)

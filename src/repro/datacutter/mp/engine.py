@@ -18,7 +18,7 @@ Workers are started with the ``fork`` start method.  That is a design
 choice, not an accident: the compiler's generated filter classes are
 created with ``exec`` and filter specs may carry closures, none of which
 survive pickling — ``fork`` inherits them by memory image, exactly like
-threads do, so *any* pipeline the threaded engine can run, this engine
+one interpreter does, so *any* pipeline the threaded engine can run, this engine
 can run.  On platforms without ``fork`` construction raises a
 ``PipelineError`` telling the caller to use the threaded engine.
 

@@ -1,7 +1,8 @@
 """Worker-process entry point: one long-lived process per filter copy.
 
 Each worker is forked once and then serves *work epochs*: for every epoch
-it runs the one copy loop shared with the threaded engine
+it runs the copy protocol whose steps the threaded engine's scheduler
+calls one at a time, here as one blocking loop
 (:func:`~repro.datacutter.runtime.run_filter_copy` — ``init``, then either
 ``generate`` (source copies split packets round-robin) or a
 ``get``/``process`` loop until end-of-stream, then ``finalize``) and
@@ -80,7 +81,7 @@ import time
 import traceback
 from typing import Any
 
-from ..filters import Filter, FilterContext, FilterSpec
+from ..filters import FilterSpec
 from ..obs.trace import Trace
 from ..recovery.checkpoint import CheckpointError, freeze_state
 from ..recovery.faults import FaultPlan, FaultSpec, make_injector
@@ -234,14 +235,6 @@ def _run_epoch(
         in_edge.trace = trace
     out_edge.trace = trace
 
-    ctx = FilterContext(
-        name=spec.name,
-        copy_index=copy_index,
-        n_copies=spec.width,
-        emit=out_edge.put,
-        params=spec.params,
-    )
-    filt: Filter = spec.make()
     recovery = None
     if progress is not None:
         if in_edge is not None:
@@ -271,8 +264,6 @@ def _run_epoch(
     beat()
     try:
         run_filter_copy(
-            filt,
-            ctx,
             spec,
             copy_index,
             in_edge,

@@ -16,9 +16,9 @@ directly with
   on a full queue or a consumer waits on an empty one longer than
   :data:`BLOCKED_MIN_SECONDS` (the backpressure picture: *where* the
   pipeline pushes back is exactly what the decomposition tries to
-  balance).  On the threaded engine a blocked copy has passed its
-  pipeline's baton on, and the wait to get it back is part of the same
-  blocked interval — which is what keeps it out of the copy's busy time.
+  balance).  Only the process engine's credit window blocks; the
+  threaded engine's scheduler drains a stream before its producer runs
+  again, so its streams record depths and never a blocked interval.
 
 :class:`Trace` is the in-memory collector plus the query API the harness
 builds on: per-packet seconds per filter (the measured side of
@@ -75,9 +75,8 @@ BLOCKED_MIN_SECONDS = 1e-3
 def current_worker_label() -> str:
     """Name of the filter copy executing the caller.
 
-    Both engines name their workers ``filter#copy`` (thread name on the
-    threaded engine, process name on the process engine), so the label
-    identifies the copy regardless of substrate."""
+    The process engine names its workers ``filter#copy``; outside a
+    worker process the caller's thread name stands in."""
     proc = multiprocessing.current_process()
     if proc.name != "MainProcess":
         return proc.name

@@ -14,8 +14,8 @@ commutative.  That property is exactly what makes two recovery moves
   checkpoint records exactly which packets it folds in.
 
 This package is the engine-independent half of that machinery, shared by
-:class:`~repro.datacutter.runtime.ThreadedPipeline` (in-thread retry
-loops) and the process engine's supervisor (worker respawn):
+:class:`~repro.datacutter.runtime.ThreadedPipeline` (restarts inside its
+scheduler loop) and the process engine's supervisor (worker respawn):
 
 * :mod:`~repro.datacutter.recovery.policy` — :class:`RetryPolicy`
   (attempt budgets, exponential backoff with jitter, per-filter
@@ -26,15 +26,15 @@ loops) and the process engine's supervisor (worker respawn):
 * :mod:`~repro.datacutter.recovery.checkpoint` — accumulator
   snapshot/restore at packet boundaries;
 * :mod:`~repro.datacutter.recovery.replay` — :class:`CopyRecovery`,
-  the strategy that makes the one copy loop
-  (:func:`~repro.datacutter.runtime.run_filter_copy`) recoverable
+  the strategy that makes the one copy protocol
+  (:class:`~repro.datacutter.runtime.FilterCopy`) recoverable
   (transactional per-packet emits, in-flight tracking, replay);
   :class:`CopyLedger`, one logical copy's acknowledged progress on
   either engine; and :class:`CopyProgress`, the resume point it builds
   for a restart.
 
 Recovery is opt-in: with ``EngineOptions(retry=None, faults=None)`` —
-the default — both engines run the copy loop without a strategy, which
+the default — both engines run the copy protocol without a strategy, which
 stages nothing and snapshots nothing.
 """
 

@@ -1,7 +1,7 @@
 """Packet-granularity recovery as a strategy of the one copy loop.
 
-:func:`repro.datacutter.runtime.run_filter_copy` runs every filter copy
-on both engines.  Given no strategy it sends emits straight downstream
+:class:`repro.datacutter.runtime.FilterCopy` is every filter copy on
+both engines.  Given no strategy it sends emits straight downstream
 and takes no snapshot.  Given a :class:`CopyRecovery` it makes every
 packet a transaction:
 
@@ -16,7 +16,7 @@ packet a transaction:
    packets on top of the last checkpoint.
 
 The reports land in a :class:`CopyLedger`, one per logical copy: in the
-threaded engine's retry loop directly, in the process engine's
+threaded engine's scheduler loop directly, in the process engine's
 supervisor as control messages.  The ledger builds the
 :class:`CopyProgress` the next attempt resumes from.
 
@@ -92,8 +92,8 @@ def recovery_policy(
 class CopyLedger:
     """Everything the attempts of one logical filter copy acknowledged.
 
-    The threaded engine's retry loop hands it to the copy loop as the
-    sink itself; the process engine's supervisor applies the workers'
+    The threaded engine's scheduler hands it to each attempt as the sink
+    itself; the process engine's supervisor applies the workers'
     control messages to it.  :meth:`progress` is the resume point of the
     next attempt either way."""
 
@@ -163,8 +163,8 @@ class CopyLedger:
 class CopyRecovery:
     """The recovery strategy of one copy attempt.
 
-    :func:`~repro.datacutter.runtime.run_filter_copy` calls it at the
-    packet boundaries when it is given one.  ``sink`` receives the
+    The steps of :class:`~repro.datacutter.runtime.FilterCopy` call it at
+    the packet boundaries when it is given one.  ``sink`` receives the
     progress reports: ``on_inflight(seq, buf)``, ``on_ack(seq, state)``,
     ``on_gen_ack(packet)`` and ``on_eos()`` — a :class:`CopyLedger` on
     the threaded engine, control messages to the supervisor on the
@@ -172,7 +172,7 @@ class CopyRecovery:
     any."""
 
     __slots__ = ("progress", "sink", "injector", "_staged", "_out", "_in",
-                 "_replay", "_seq", "_next")
+                 "replay", "_seq", "_next")
 
     def __init__(
         self,
@@ -184,7 +184,8 @@ class CopyRecovery:
         self.sink = sink
         self.injector = injector or FaultInjector(())
         self._staged: list[Buffer] = []
-        self._replay = list(progress.replay)
+        #: the unacknowledged buffers still to reprocess, oldest first
+        self.replay = list(progress.replay)
         #: delivery sequence of the packet being processed / of the next
         self._seq = self._next = progress.seq_start
 
@@ -222,8 +223,8 @@ class CopyRecovery:
         """The next packet to process: the unacknowledged ones first, then
         the input stream's, each reported in flight; None at end of
         stream.  The attempt's fault fires here, before ``process``."""
-        if self._replay:
-            self._seq, buf = self._replay.pop(0)
+        if self.replay:
+            self._seq, buf = self.replay.pop(0)
         elif self.progress.eos_seen:
             return None
         else:

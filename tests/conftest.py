@@ -1,7 +1,7 @@
 """Suite-wide leak / left-running guard.
 
 After every test module: no child process, no new named shared-memory
-segment, and no serve or filter thread may still be there.  Each check
+segment, and no serve thread or engine run thread may still be there.  Each check
 *joins* what it finds, with a bound, and fails on what is still alive
 after the join — the verdict never depends on a sleep.  Tests call
 :func:`no_orphans` for the same check at the point they need it.
@@ -18,7 +18,8 @@ import pytest
 #: how long a module's stragglers get to finish on their own
 GRACE_SECONDS = 10.0
 
-#: ``name#copy``: how both engines label a filter copy's thread / process
+#: ``name#N``: a process-engine worker (``filter#copy``) or a threaded
+#: engine's run thread (``threaded-run#N``)
 _FILTER_LABEL = re.compile(r".+#\d+$")
 
 

@@ -33,6 +33,7 @@ from repro.datacutter import (
     make_engine,
     run_pipeline,
 )
+from repro.datacutter.engine import EngineSession
 from repro.experiments.harness import _specs_for_version
 
 from .conftest import no_orphans
@@ -42,6 +43,10 @@ from .conftest import no_orphans
 PROC_TIMEOUT = 120.0
 
 ENGINE_NAMES = ("threaded", "process")
+#: name prefix of the threaded engine's run thread
+RUN_THREAD = "threaded-run#"
+#: a broken engine fails after this long instead of hanging the suite
+HARD_TIMEOUT = 10.0
 
 
 def _run(specs, engine):
@@ -214,7 +219,7 @@ def test_error_in_one_copy_fails_run(engine):
     if engine == "process":
         no_orphans()
     else:
-        no_orphans(thread_prefix="boom#")
+        no_orphans(thread_prefix=RUN_THREAD)
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
@@ -232,7 +237,7 @@ def test_system_exit_in_filter_fails_run(engine):
     if engine == "process":
         no_orphans()
     else:
-        no_orphans(thread_prefix="quit#")
+        no_orphans(thread_prefix=RUN_THREAD)
 
 
 def test_killed_worker_detected():
@@ -280,8 +285,64 @@ def test_threaded_stuck_filter_detected():
         with pytest.raises(PipelineError, match="stuck.*tarpit#0"):
             ThreadedPipeline(specs, join_timeout=1.0).run()
     finally:
-        _unstick.set()  # release the abandoned daemon thread
-    no_orphans(thread_prefix="tarpit#")
+        _unstick.set()  # release the abandoned run thread
+    no_orphans(thread_prefix=RUN_THREAD)
+
+
+class _FailFirst(Filter):
+    def process(self, buf, ctx):
+        raise RuntimeError("consumer died")
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_dead_consumer_fails_run_despite_full_queue(engine):
+    """A consumer that dies on its first buffer while its producer still
+    has more than a queue's worth to send fails the run with the
+    consumer's error at once, not with a join timeout over a producer
+    left waiting for room (40 packets against the default capacity 32)."""
+    specs = [
+        FilterSpec("src", _Range, params={"n": 40}),
+        FilterSpec("mid", _FailFirst, placement=1),
+        FilterSpec("sum", _Sum, placement=2),
+    ]
+    options = EngineOptions(
+        engine=engine,
+        join_timeout=HARD_TIMEOUT,
+        timeout=PROC_TIMEOUT if engine == "process" else None,
+    )
+    with pytest.raises(PipelineError, match="mid#0 failed") as exc_info:
+        run_pipeline(specs, options)
+    assert "stuck" not in str(exc_info.value)
+    no_orphans(thread_prefix=RUN_THREAD)
+
+
+class _WhichThread(Filter):
+    def process(self, buf, ctx):
+        ctx.params["threads"].add(threading.current_thread())
+
+
+def test_session_runs_on_one_thread_joined_by_close():
+    """Twenty units of work on one session run on one engine-owned thread,
+    started by the first run; close() joins it."""
+    threads = set()
+    specs = [
+        FilterSpec("src", _Range, params={"n": 3}),
+        FilterSpec("probe", _WhichThread, placement=1, params={"threads": threads}),
+    ]
+    before = {t for t in threading.enumerate() if t.name.startswith(RUN_THREAD)}
+    session = EngineSession(EngineOptions(join_timeout=HARD_TIMEOUT))
+    try:
+        for _ in range(20):
+            session.run(specs)
+        started = {
+            t for t in threading.enumerate() if t.name.startswith(RUN_THREAD)
+        } - before
+    finally:
+        session.close()
+    assert len(threads) == 1
+    assert started == threads
+    (thread,) = threads
+    assert not thread.is_alive()
 
 
 # ---------------------------------------------------------------------------

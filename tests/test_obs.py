@@ -10,6 +10,7 @@ unit coverage of the trace query math, blocked-time gauges, the
 """
 
 import json
+import multiprocessing
 import warnings
 from collections import Counter
 
@@ -27,7 +28,6 @@ from repro.datacutter import (
     run_pipeline,
 )
 from repro.datacutter.obs import (
-    BLOCKED_MIN_SECONDS,
     OVERHEAD_PACKET,
     BlockedSpan,
     QueueSample,
@@ -39,6 +39,7 @@ from repro.datacutter.obs import (
     validate_chrome_trace,
     write_jsonl,
 )
+from repro.datacutter.obs import trace as trace_module
 from repro.experiments.harness import (
     _specs_for_version,
     measure_pipeline,
@@ -47,6 +48,8 @@ from repro.experiments.harness import (
 
 ENGINE_NAMES = ("threaded", "process")
 PROC_TIMEOUT = 120.0
+#: bound on every gate: a gate never opened fails the test instead of hanging it
+GATE_SECONDS = 20.0
 
 APPS = {
     "zbuffer": lambda: _bundle(
@@ -71,11 +74,30 @@ class _Double(Filter):
         ctx.write(buf.payload * 2, buf.packet)
 
 
-class _SlowSink(Filter):
-    def process(self, buf, ctx):
-        import time
+class _GatedSource(SourceFilter):
+    """Opens the gate just before it yields packet ``gate_at``."""
 
-        time.sleep(ctx.params.get("dwell", 0.0))
+    def generate(self, ctx):
+        for k in range(ctx.params["n"]):
+            if k == ctx.params["gate_at"]:
+                ctx.params["gate"].set()
+            yield float(k)
+
+
+class _GatedSink(Filter):
+    """Holds packet 0 until the gate opens."""
+
+    def process(self, buf, ctx):
+        if buf.packet == 0 and not ctx.params["gate"].wait(GATE_SECONDS):
+            raise RuntimeError("the source never reached the gate")
+
+
+class _Fan(Filter):
+    FAN = 3
+
+    def process(self, buf, ctx):
+        for _ in range(self.FAN):
+            ctx.write(buf.payload, buf.packet)
 
 
 def _traced_run(app, workload, engine):
@@ -219,17 +241,48 @@ def test_trace_queries_synthetic():
     assert tr.t_origin() == 0.0
 
 
-def test_blocked_put_recorded_under_backpressure():
-    """A capacity-1 queue and a slow consumer force the producer to block
-    in put long enough to cross BLOCKED_MIN_SECONDS."""
-    dwell = max(BLOCKED_MIN_SECONDS * 20, 0.02)
+def test_blocked_put_recorded_under_backpressure(monkeypatch):
+    """On the process engine a producer out of credit waits in put until
+    its consumer takes the next buffer.  With capacity 1 the sink holds
+    packet 0 until the source reaches packet 2: packet 1 is the buffer in
+    flight, so packet 2's put waits for credit the sink returns only after
+    its hold.  That put is recorded as blocked and ends after the hold.
+    The blocked-time threshold is 0 (inherited by the forked workers), so
+    the verdict counts the wait, not its length."""
+    monkeypatch.setattr(trace_module, "BLOCKED_MIN_SECONDS", 0.0)
+    params = {"n": 6, "gate_at": 2, "gate": multiprocessing.get_context("fork").Event()}
     specs = [
-        FilterSpec("src", _Range, params={"n": 6}),
-        FilterSpec("sink", _SlowSink, placement=1, params={"dwell": dwell}),
+        FilterSpec("src", _GatedSource, params=params),
+        FilterSpec("sink", _GatedSink, placement=1, params=params),
     ]
     trace = Trace()
-    run_pipeline(specs, EngineOptions(queue_capacity=1, trace=trace))
+    run_pipeline(
+        specs,
+        EngineOptions(
+            engine="process", queue_capacity=1, timeout=PROC_TIMEOUT, trace=trace
+        ),
+    )
+    (hold,) = [s for s in trace.spans_for("sink", phase="process") if s.packet == 0]
+    puts = [b for b in trace.blocked if (b.stream, b.side) == ("src->sink", "put")]
+    assert any(b.t1 > hold.t1 for b in puts)
     assert trace.blocked_seconds("src->sink", "put") > 0.0
+
+
+def test_threaded_backpressure_never_blocks():
+    """The threaded engine's loop drains a stream before its producer runs
+    again: no put or get ever waits, and no stream gets deeper than one
+    callback's emits, even past a capacity of 1."""
+    specs = [
+        FilterSpec("src", _Range, params={"n": 6}),
+        FilterSpec("fan", _Fan, placement=1),
+        FilterSpec("sink", _Double, placement=2),
+    ]
+    trace = Trace()
+    run = run_pipeline(specs, EngineOptions(queue_capacity=1, trace=trace))
+    assert len(run.outputs) == 6 * _Fan.FAN
+    assert trace.blocked == []
+    assert trace.max_depth("src->fan") == 1
+    assert trace.max_depth("fan->sink") == _Fan.FAN
 
 
 def test_jsonl_round_trip(tmp_path):

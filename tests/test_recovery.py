@@ -18,6 +18,7 @@ import pytest
 from repro.__main__ import _canonical_outputs
 from repro.datacutter import (
     Broadcast,
+    Buffer,
     ByPacket,
     CollectorStream,
     EngineOptions,
@@ -458,8 +459,6 @@ def test_broadcast_puts_are_traced():
     stream = LogicalStream(
         "b", n_producers=1, n_consumers=3, policy=Broadcast(), trace=trace
     )
-    from repro.datacutter import Buffer
-
     for packet in range(4):
         stream.put(Buffer(payload=packet, packet=packet))
     puts = [q for q in trace.queue_samples if q.side == "put"]
@@ -503,9 +502,17 @@ def test_stream_capacity_validation():
     with pytest.raises(ValueError, match="capacity"):
         LogicalStream("s", capacity=-1)
     unbounded = LogicalStream("s", capacity=None)
-    assert unbounded._queues[0].maxsize == 0
     collector = CollectorStream("c")
-    assert collector._queues[0].maxsize == 0  # explicit unbounded
+    assert collector.capacity is None  # explicit unbounded
+    for stream in (unbounded, collector):
+        for packet in range(100):
+            stream.put(Buffer(payload=packet, packet=packet))
+        assert not stream.full()
+    bounded = LogicalStream("s", capacity=2)
+    bounded.put(Buffer(payload=0, packet=0))
+    assert not bounded.full()
+    bounded.put(Buffer(payload=1, packet=1))
+    assert bounded.full()
 
 
 def test_process_edge_capacity_validation():

@@ -1,16 +1,17 @@
-"""The threaded engine's schedule: one running filter copy per pipeline.
+"""The threaded engine's schedule: one scheduler loop per run.
 
-A run owns one baton; a copy holds it while it is in filter code and hands
-it on only where it would block (stream get on empty, stream put on full,
-retry back-off).  What must hold: the schedule cannot deadlock, however
-small the queues and whatever a filter emits; no two copies of a pipeline
-are ever in filter code together, while separate pipelines do overlap; a
-copy that dies gives the baton back; and a wedged copy is the one the join
-timeout names.  No verdict here is decided by a sleep: waits are bounded
-only so that a broken schedule fails instead of hanging the suite.
+The loop runs the most-downstream copy that has input, or a finished
+copy's ``finalize``, and advances a source by one packet only when nothing
+downstream can run.  What must hold: the schedule cannot deadlock, however
+small the queues and whatever a filter emits, and no stream gets deeper
+than one callback's emits; no two copies of a pipeline are ever in filter
+code together, while separate pipelines do overlap; a copy that dies ends
+the run with its own error; a wedged copy is the one the join timeout
+names; and the same seed gives the same schedule.  No verdict here is
+decided by a sleep: waits are bounded only so that a broken schedule fails
+instead of hanging the suite.
 """
 
-import queue
 import sys
 import threading
 
@@ -32,7 +33,7 @@ from repro.datacutter import (
     Trace,
     run_pipeline,
 )
-from repro.datacutter.streams import Baton
+from repro.experiments.harness import _specs_for_version
 
 #: a broken schedule fails after this long instead of hanging
 HARD_TIMEOUT = 10.0
@@ -118,8 +119,14 @@ def test_capacity_one_never_deadlocks(widths, policy, traced, recover):
     )
     assert _tally(result) == _expected(widths, policy)
     if traced:
-        # in-flight buffers stay bounded by the queue capacity
-        assert {trace.max_depth(s) for s in ("src->fan", "fan->tally")} == {1}
+        # a stream is drained before its producer runs again, so it is never
+        # deeper than one callback's emits: one generated packet, and FAN
+        # buffers per fan-out process() — overshooting capacity 1 by its
+        # own emits wherever they all reach one tally copy
+        assert trace.max_depth("src->fan") == 1
+        assert trace.max_depth("fan->tally") <= Fanout.FAN
+        if widths[2] == 1:
+            assert trace.max_depth("fan->tally") == Fanout.FAN
         assert len(trace.restarts()) >= (2 if recover else 0)
 
 
@@ -163,7 +170,6 @@ class Probe(Filter):
     def process(self, buf, ctx):
         with ctx.params["gate"]:
             _spin()
-        # outside the gate: a copy blocked in put() has passed the baton on
         ctx.write(buf.payload, buf.packet)
 
 
@@ -199,9 +205,9 @@ class Rendezvous(Filter):
 
 
 def test_two_pipelines_run_independently():
-    """Each run has a baton of its own: a copy of one pipeline and a copy
-    of another can be in filter code together (a shared baton would leave
-    each waiting for the other until the timeout)."""
+    """Each run has a scheduler loop of its own: a copy of one pipeline
+    and a copy of another can be in filter code together (a shared loop
+    would leave each waiting for the other until the timeout)."""
     a, b = threading.Event(), threading.Event()
     results = {}
 
@@ -227,7 +233,7 @@ def test_two_pipelines_run_independently():
 
 
 # ---------------------------------------------------------------------------
-# a dying copy gives the baton back; a wedged one is named
+# a dying copy ends the run with its own error; a wedged one is named
 # ---------------------------------------------------------------------------
 
 
@@ -261,20 +267,19 @@ def _specs(mid):
     ],
     ids=["filter-bug", "retry-budget-exhausted"],
 )
-def test_copy_that_dies_releases_the_baton(mid, recovery, message):
-    """The other copies run to completion: the error is the copy's own, not
-    a join timeout over a pipeline left waiting for the baton.  (The queues
-    hold the whole input here: a producer blocked on a dead consumer's full
-    queue is a different, engine-independent way to get stuck.)"""
+def test_copy_that_dies_ends_the_run(mid, recovery, message):
+    """The error is the copy's own, not a join timeout over a pipeline
+    left waiting for it."""
     options = EngineOptions(join_timeout=HARD_TIMEOUT, **recovery)
     with pytest.raises(PipelineError, match=message) as exc_info:
         run_pipeline(_specs(mid), options)
     assert "stuck" not in str(exc_info.value)
 
 
-def test_stalled_and_failed_attempts_hold_then_release_the_baton():
-    """A ``stall`` keeps the baton (a sleeping filter is a running filter),
-    an injected ``exception`` drops it for the back-off; both heal."""
+def test_stalled_and_failed_attempts_heal():
+    """A ``stall`` holds the loop (a sleeping filter is a running filter);
+    an injected ``exception`` restarts its copy after a back-off the loop
+    schedules around.  Both heal."""
     baseline = run_pipeline(_specs(Fanout), EngineOptions())
     faulted = run_pipeline(
         _specs(Fanout),
@@ -299,10 +304,10 @@ class Tarpit(Filter):
         _unstick.wait(60.0)
 
 
-def test_join_timeout_names_the_baton_holder():
-    """Only the copy wedged in filter code is 'stuck'; the source waiting
-    to get the baton back and the sink waiting for buffers are listed as
-    waiting on it."""
+def test_join_timeout_names_the_running_copy():
+    """Only the copy wedged in filter code is 'stuck'; the source with
+    packets left and the sink waiting for buffers are listed as waiting on
+    it."""
     _unstick.clear()
     specs = [
         FilterSpec("src", Numbers, params={"n": 8}),
@@ -313,56 +318,63 @@ def test_join_timeout_names_the_baton_holder():
         with pytest.raises(PipelineError) as exc_info:
             run_pipeline(specs, EngineOptions(queue_capacity=1, join_timeout=0.3))
     finally:
-        _unstick.set()  # let the abandoned daemon threads finish
+        _unstick.set()  # let the abandoned run thread finish
     assert (
-        "(stuck): tarpit#0; waiting on it: src#0, tally#0; their daemon"
+        "(stuck): tarpit#0; waiting on it: src#0, tally#0; the run thread"
         in str(exc_info.value)
     )
 
 
 # ---------------------------------------------------------------------------
-# the baton and the stream operations that pass it on
+# the streams the loop drives never block
 # ---------------------------------------------------------------------------
 
 
-def test_baton_tracks_its_holder_and_survives_a_failed_wait():
-    baton = Baton()
-    assert baton.holder is None
-    baton.acquire()
-    assert baton.holder == threading.get_ident()
-    with pytest.raises(KeyError):
-        with baton.paused():
-            assert baton.holder is None
-            raise KeyError
-    assert baton.holder == threading.get_ident()
-    baton.release()
-    assert baton.holder is None
+def test_stream_ops_never_block():
+    """A put past capacity does not wait (``full()`` is how the loop knows
+    to hold the producer), and a get answers at once: a buffer, None at end
+    of stream, or an error on an open stream with nothing queued."""
+    stream = LogicalStream("s", capacity=1)
+    stream.put(Buffer("first", packet=0))
+    assert stream.full()
+    stream.put(Buffer("second", packet=1))
+    assert [stream.get(0).payload for _ in range(2)] == ["first", "second"]
+    assert not stream.full()
+    with pytest.raises(RuntimeError, match="nothing queued"):
+        stream.get(0)
+    stream.close_producer()
+    assert stream.get(0) is None
 
 
-def test_stream_ops_give_the_baton_up_only_while_blocked():
-    baton = Baton()
-    stream = LogicalStream("s", capacity=1, baton=baton)
-    seen = []
+# ---------------------------------------------------------------------------
+# the same seed, the same schedule
+# ---------------------------------------------------------------------------
 
-    def other():
-        # runs only while the main thread is blocked in put()
-        baton.acquire()
-        seen.append(stream.get(0).payload)
-        baton.release()
 
-    baton.acquire()
-    stream.put(Buffer("first", packet=0))  # room in the queue: no hand-off
-    assert baton.holder == threading.get_ident()
-    thread = threading.Thread(target=other)
-    thread.start()
-    # full: blocks, passing the baton on, until other() took "first"
-    stream.put(Buffer("second", packet=0))
-    assert seen == ["first"]
-    assert baton.holder == threading.get_ident()
-    assert stream.get(0).payload == "second"
-    with pytest.raises(queue.Empty):
-        stream.get(0, timeout=0.01)
-    assert baton.holder == threading.get_ident()
-    baton.release()
-    thread.join(HARD_TIMEOUT)
-    assert not thread.is_alive()
+def test_same_seed_runs_give_the_same_span_sequence():
+    """The loop's choices depend only on the pipeline and its data: two
+    traced runs of a compiled application, and of a widened pipeline,
+    produce the same callbacks in the same order."""
+    from repro.apps import make_knn_app
+    from repro.cost import cluster_config
+
+    app = make_knn_app()
+    compiled, _result = _specs_for_version(
+        app, app.make_workload(n_points=2000, num_packets=8, seed=7),
+        "Decomp-Comp", cluster_config(1),
+    )
+    widened = [
+        FilterSpec("src", Numbers, width=2, params={"n": N}),
+        FilterSpec("fan", Fanout, width=2),
+        FilterSpec("tally", Tally, width=2),
+    ]
+
+    def sequence(specs):
+        trace = Trace()
+        run_pipeline(specs, EngineOptions(trace=trace, join_timeout=HARD_TIMEOUT))
+        return [(s.filter, s.copy, s.phase, s.packet) for s in trace.spans]
+
+    for specs in (compiled, widened):
+        first = sequence(specs)
+        assert {phase for _f, _c, phase, _p in first} >= {"init", "finalize"}
+        assert sequence(specs) == first
