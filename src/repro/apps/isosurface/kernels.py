@@ -199,15 +199,13 @@ def batch_extract_triangles(vals, x, y, z, isoval):
     ``vals`` is the (n, 8) corner-value column (or ragged pair with uniform
     rows); ``x``/``y``/``z`` are 1-D columns; ``isoval`` broadcasts.
     Returns the triangle lists as one ragged pair."""
-    if isinstance(vals, tuple):
-        raw, off = vals
-        n = len(off) - 1
-        vals2 = np.asarray(raw, dtype=np.float64).reshape(n, -1)
-    else:
-        vals2 = np.asarray(vals, dtype=np.float64)
-        n = len(vals2)
+    n = len(vals[1]) - 1 if isinstance(vals, tuple) else len(vals)
     if n == 0:
         return np.zeros(0, dtype=np.float64), np.zeros(1, dtype=np.int64)
+    if isinstance(vals, tuple):
+        vals2 = np.asarray(vals[0], dtype=np.float64).reshape(n, -1)
+    else:
+        vals2 = np.asarray(vals, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
@@ -267,64 +265,67 @@ def batch_rasterize_triangles(stris, width, height):
     """Columnar :func:`rasterize_triangles`: every triangle of the packet
     scan-converted in one flat computation.
 
-    Fragment order is preserved: triangles stay in record order and pixels
-    within a triangle keep the scalar kernel's meshgrid-ravel order
-    (y-rows outer, x fastest)."""
+    The barycentric coefficients are computed once per triangle; bounding
+    boxes expand to rows and rows to pixels by ``repeat`` + ``cumsum``, so
+    per pixel only the terms that vary along a row are evaluated, and depth
+    and colour are taken for the covered pixels alone.  Every value goes
+    through the scalar kernel's IEEE operations in its order, and fragment
+    order is preserved: triangles stay in record order and pixels within a
+    triangle keep the scalar kernel's meshgrid-ravel order (y-rows outer,
+    x fastest)."""
     values, offsets = _as_ragged_pair(stris)
     recs = values.reshape(-1, 10)
-    n = len(offsets) - 1
-    recs_per_cube = (offsets[1:] - offsets[:-1]) // 10
     m = len(recs)
-    empty = np.zeros(0, dtype=np.float64)
     if m == 0:
-        return empty, np.zeros(n + 1, dtype=np.int64)
-    xs, ys, zs, color = recs[:, 0:3], recs[:, 3:6], recs[:, 6:9], recs[:, 9]
-    x_min = np.maximum(np.floor(xs.min(axis=1)).astype(np.int64), 0)
-    x_max = np.minimum(np.ceil(xs.max(axis=1)).astype(np.int64), width - 1)
-    y_min = np.maximum(np.floor(ys.min(axis=1)).astype(np.int64), 0)
-    y_max = np.minimum(np.ceil(ys.max(axis=1)).astype(np.int64), height - 1)
-    d = (ys[:, 1] - ys[:, 2]) * (xs[:, 0] - xs[:, 2]) + (
-        xs[:, 2] - xs[:, 1]
-    ) * (ys[:, 0] - ys[:, 2])
+        return np.zeros(0, dtype=np.float64), np.zeros(len(offsets), dtype=np.int64)
+    x0, x1, x2, y0, y1, y2, z0, z1, z2, color = recs.T
+    x_min = np.maximum(np.floor(np.minimum(np.minimum(x0, x1), x2)).astype(np.int64), 0)
+    x_max = np.minimum(
+        np.ceil(np.maximum(np.maximum(x0, x1), x2)).astype(np.int64), width - 1
+    )
+    y_min = np.maximum(np.floor(np.minimum(np.minimum(y0, y1), y2)).astype(np.int64), 0)
+    y_max = np.minimum(
+        np.ceil(np.maximum(np.maximum(y0, y1), y2)).astype(np.int64), height - 1
+    )
+    # l0 = (a*(gx-x2) + b*(gy-y2)) / d and l1 = (c*(gx-x2) + e*(gy-y2)) / d
+    a = y1 - y2
+    b = x2 - x1
+    c = y2 - y0
+    e = x0 - x2
+    d = a * e + b * (y0 - y2)
     valid = (x_min <= x_max) & (y_min <= y_max) & (np.abs(d) >= 1e-12)
+    ny = np.where(valid, y_max - y_min + 1, 0)
     nx = np.where(valid, x_max - x_min + 1, 0)
-    npix = nx * np.where(valid, y_max - y_min + 1, 0)
-    total = int(npix.sum())
-    frag_per_rec = np.zeros(m, dtype=np.int64)
-    if total:
-        starts = np.zeros(m, dtype=np.int64)
-        starts[1:] = np.cumsum(npix)[:-1]
-        rid = np.repeat(np.arange(m, dtype=np.int64), npix)
-        within = np.arange(total, dtype=np.int64) - starts[rid]
-        nxr = nx[rid]
-        gx = x_min[rid] + within % nxr
-        gy = y_min[rid] + within // nxr
-        dr = d[rid]
-        l0 = (
-            (ys[rid, 1] - ys[rid, 2]) * (gx - xs[rid, 2])
-            + (xs[rid, 2] - xs[rid, 1]) * (gy - ys[rid, 2])
-        ) / dr
-        l1 = (
-            (ys[rid, 2] - ys[rid, 0]) * (gx - xs[rid, 2])
-            + (xs[rid, 0] - xs[rid, 2]) * (gy - ys[rid, 2])
-        ) / dr
-        l2 = 1.0 - l0 - l1
-        inside = (l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9)
-        depth = l0 * zs[rid, 0] + l1 * zs[rid, 1] + l2 * zs[rid, 2]
-        out = np.empty((int(inside.sum()), 4))
-        out[:, 0] = gx[inside]
-        out[:, 1] = gy[inside]
-        out[:, 2] = depth[inside]
-        out[:, 3] = color[rid][inside]
-        np.add.at(frag_per_rec, rid[inside], 1)
-        frags = out.ravel()
-    else:
-        frags = empty
-    cum_rec = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(4 * frag_per_rec, out=cum_rec[1:])
-    rec_bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(recs_per_cube, out=rec_bounds[1:])
-    return frags, cum_rec[rec_bounds]
+    # rows: the gy terms are constant along a row
+    row_tri = np.repeat(np.arange(m), ny)
+    gy = np.arange(len(row_tri), dtype=np.float64) + (y_min - np.cumsum(ny) + ny)[row_tri]
+    ty = gy - y2[row_tri]
+    b_ty = b[row_tri] * ty
+    e_ty = e[row_tri] * ty
+    # pixels
+    row_nx = nx[row_tri]
+    pix_row = np.repeat(np.arange(len(row_tri)), row_nx)
+    gx = (
+        np.arange(len(pix_row), dtype=np.float64)
+        + (x_min[row_tri] - np.cumsum(row_nx) + row_nx)[pix_row]
+    )
+    pix_tri = row_tri[pix_row]
+    tx = gx - x2[pix_tri]
+    dp = d[pix_tri]
+    l0 = (a[pix_tri] * tx + b_ty[pix_row]) / dp
+    l1 = (c[pix_tri] * tx + e_ty[pix_row]) / dp
+    l2 = 1.0 - l0 - l1
+    inside = np.flatnonzero((l0 >= -1e-9) & (l1 >= -1e-9) & (l2 >= -1e-9))
+    tri = pix_tri[inside]
+    out = np.empty((len(inside), 4))
+    out[:, 0] = gx[inside]
+    out[:, 1] = gy[pix_row[inside]]
+    out[:, 2] = l0[inside] * z0[tri] + l1[inside] * z1[tri] + l2[inside] * z2[tri]
+    out[:, 3] = color[tri]
+    # fragment offsets per cube: 4 floats per fragment, 10 per screen record
+    frag_end = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(4 * np.bincount(tri, minlength=m), out=frag_end[1:])
+    return out.ravel(), frag_end[(offsets - offsets[0]) // 10]
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +337,42 @@ def make_zbuffer_class(width: int, height: int) -> type:
     """Dense z-buffer: a full depth + color plane per accumulator.
 
     This is the §6.3 z-buffer algorithm: cheap updates, expensive to
-    allocate/communicate (width*height*16 bytes per partial)."""
+    allocate/communicate (width*height*16 bytes per partial).
+
+    A fresh buffer keeps its first accumulation sparse: the surviving
+    fragment per pixel, sorted by pixel.  The planes are allocated by the
+    first operation that needs them (a second accum, a merge into it,
+    ``pack``, ``image``), so a per-packet partial that is accumulated once
+    and merged never allocates them, and merging it visits only the pixels
+    it reached.  That equals the dense merge: a pixel no fragment reached
+    holds ``(inf, 0)``, which would win only against ``(inf, c > 0)``, and
+    no sequence of accums and merges produces that (leaving ``(inf, 0)``
+    takes a fragment at depth ``inf`` with a colour below 0)."""
+    n_pix = width * height
 
     class ZBuffer:
         W, H = width, height
+        #: two float64 planes, whichever state the buffer is in
+        nbytes = 16 * n_pix
 
         def __init__(self) -> None:
-            self.depth = np.full(width * height, np.inf)
-            self.color = np.zeros(width * height)
+            #: (depth, color) planes once allocated
+            self._planes: tuple[np.ndarray, np.ndarray] | None = None
+            #: (idx, depth, color) of the first accumulation while the
+            #: planes are not allocated: one entry per pixel, by pixel
+            self._sparse: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+        def _dense(self) -> tuple[np.ndarray, np.ndarray]:
+            if self._planes is None:
+                depth = np.full(n_pix, np.inf)
+                color = np.zeros(n_pix)
+                if self._sparse is not None:
+                    idx, sparse_depth, sparse_color = self._sparse
+                    depth[idx] = sparse_depth
+                    color[idx] = sparse_color
+                    self._sparse = None
+                self._planes = depth, color
+            return self._planes
 
         def accum(self, frags: np.ndarray) -> None:
             """Accumulate fragments (px, py, depth, color), vectorized.
@@ -362,11 +391,17 @@ def make_zbuffer_class(width: int, height: int) -> type:
             first[1:] = idx[1:] != idx[:-1]
             idx, depth, color = idx[first], depth[first], color[first]
             # ... then the batch winner against the buffer
-            better = (depth < self.depth[idx]) | (
-                (depth == self.depth[idx]) & (color < self.color[idx])
+            if self._planes is None and self._sparse is None:
+                # the `better` test below against untouched (inf, 0) pixels
+                better = (depth < np.inf) | ((depth == np.inf) & (color < 0.0))
+                self._sparse = idx[better], depth[better], color[better]
+                return
+            plane_depth, plane_color = self._dense()
+            better = (depth < plane_depth[idx]) | (
+                (depth == plane_depth[idx]) & (color < plane_color[idx])
             )
-            self.depth[idx[better]] = depth[better]
-            self.color[idx[better]] = color[better]
+            plane_depth[idx[better]] = depth[better]
+            plane_color[idx[better]] = color[better]
 
         def batch_accum(self, frags) -> None:
             """Columnar accum: all fragment lists of a packet at once.
@@ -378,35 +413,41 @@ def make_zbuffer_class(width: int, height: int) -> type:
             self.accum(np.asarray(values, dtype=np.float64).reshape(-1))
 
         def merge(self, other: "ZBuffer") -> None:
-            closer = (other.depth < self.depth) | (
-                (other.depth == self.depth) & (other.color < self.color)
+            if other._planes is not None:
+                at = slice(None)  # every pixel
+                depth, color = other._planes
+            elif other._sparse is not None:
+                at, depth, color = other._sparse  # the pixels it reached
+            else:
+                return
+            self_depth, self_color = self._dense()
+            closer = (depth < self_depth[at]) | (
+                (depth == self_depth[at]) & (color < self_color[at])
             )
-            self.depth[closer] = other.depth[closer]
-            self.color[closer] = other.color[closer]
+            hit = at[closer] if isinstance(at, np.ndarray) else closer
+            self_depth[hit] = depth[closer]
+            self_color[hit] = color[closer]
 
         def pack(self) -> dict[str, np.ndarray]:
-            return {"depth": self.depth.copy(), "color": self.color.copy()}
+            depth, color = self._dense()
+            return {"depth": depth.copy(), "color": color.copy()}
 
         @classmethod
         def unpack(cls, packed: dict[str, np.ndarray]) -> "ZBuffer":
             obj = cls()
-            obj.depth = packed["depth"].copy()
-            obj.color = packed["color"].copy()
+            obj._planes = packed["depth"].copy(), packed["color"].copy()
             return obj
 
         # -- test/bench helpers ------------------------------------------
         def covered_pixels(self) -> int:
-            return int(np.isfinite(self.depth).sum())
+            return int(np.isfinite(self._dense()[0]).sum())
 
         def image(self) -> np.ndarray:
-            img = np.zeros(width * height)
-            covered = np.isfinite(self.depth)
-            img[covered] = self.color[covered]
+            depth, color = self._dense()
+            img = np.zeros(n_pix)
+            covered = np.isfinite(depth)
+            img[covered] = color[covered]
             return img.reshape(height, width)
-
-        @property
-        def nbytes(self) -> int:
-            return self.depth.nbytes + self.color.nbytes
 
     ZBuffer.__name__ = f"ZBuffer{width}x{height}"
     # anchor for pickling across the process engine boundary

@@ -27,7 +27,7 @@ from ..analysis.workload import WorkloadProfile
 from ..codegen.generated_registry import register_generated
 from ..datacutter.buffers import Buffer
 from ..datacutter.filters import Filter, FilterContext, FilterSpec, SourceFilter
-from ..codegen.runtime_support import col_count, col_row, rowwise_batch
+from ..codegen.runtime_support import col_count, col_row, ragged_from_rows
 from ..lang.intrinsics import Intrinsic, IntrinsicRegistry, OpCount
 from ..lang.types import DOUBLE, INT, VOID, ArrayType
 from .common import AppBundle, Workload
@@ -126,17 +126,61 @@ def subsample_tile_strided(
     )
 
 
+def batch_subsample_tile(
+    pixels, x0, y0, w, h, qx0, qy0, qx1, qy1, subsamp
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar form of :func:`subsample_tile_masked`: the strided kernel,
+    which returns the same bytes (``test_masked_equals_strided``), over
+    each tile of a packet, collected as one ragged pair.  ``pixels``,
+    ``x0``, ``y0``, ``w`` and ``h`` are columns; the query and
+    ``subsamp`` broadcast."""
+    return ragged_from_rows(
+        [
+            subsample_tile_strided(
+                col_row(pixels, r), x0[r], y0[r], w[r], h[r],
+                qx0, qy0, qx1, qy1, subsamp,
+            )
+            for r in range(col_count(x0))
+        ]
+    )
+
+
 def make_vimage_class(qx0: int, qy0: int, qx1: int, qy1: int, subsamp: int) -> type:
     """Output image for one query: NaN-initialized until pasted (tiles are
-    disjoint, so paste/merge are trivially commutative)."""
+    disjoint, so paste/merge are trivially commutative).
+
+    A fresh image keeps its pasted blocks (copied; disjoint, so never more
+    than the image) instead of allocating the image; the first operation
+    that needs the image (a merge into it, ``pack``, ``image``) allocates
+    it and pastes them in order.  Merging a
+    partial whose image was never allocated pastes its blocks into the
+    target, visiting only their rectangles: with disjoint tiles that
+    writes what the dense merge writes."""
     out_w = max(0, -(-(qx1 - qx0) // subsamp))
     out_h = max(0, -(-(qy1 - qy0) // subsamp))
 
     class VImage:
         W, H = out_w, out_h
+        #: one float64 image, whichever state the object is in
+        nbytes = out_h * out_w * 3 * 8
 
         def __init__(self) -> None:
-            self.data = np.full(out_h * out_w * 3, np.nan)
+            self._data: np.ndarray | None = None
+            #: (oy, ox, samples of shape (bh, bw, 3)) of each paste while
+            #: the image is not allocated, in paste order
+            self._blocks: list[tuple[int, int, np.ndarray]] = []
+
+        def _dense(self) -> np.ndarray:
+            if self._data is None:
+                self._data = np.full(out_h * out_w * 3, np.nan)
+                for block in self._blocks:
+                    self._write(*block)
+                self._blocks = []
+            return self._data
+
+        def _write(self, oy: int, ox: int, sub: np.ndarray) -> None:
+            img = self._data.reshape(out_h, out_w, 3)
+            img[oy : oy + sub.shape[0], ox : ox + sub.shape[1], :] = sub
 
         def paste(self, block: np.ndarray) -> None:
             block = np.asarray(block, dtype=np.float64)
@@ -144,8 +188,10 @@ def make_vimage_class(qx0: int, qy0: int, qx1: int, qy1: int, subsamp: int) -> t
                 return
             ox, oy, bw, bh = (int(v) for v in block[:4])
             sub = block[4:].reshape(bh, bw, 3)
-            img = self.data.reshape(out_h, out_w, 3)
-            img[oy : oy + bh, ox : ox + bw, :] = sub
+            if self._data is None:
+                self._blocks.append((oy, ox, sub.copy()))
+            else:
+                self._write(oy, ox, sub)
 
         def batch_paste(self, blocks) -> None:
             """Columnar form of :meth:`paste`: a whole packet's blocks as a
@@ -155,24 +201,25 @@ def make_vimage_class(qx0: int, qy0: int, qx1: int, qy1: int, subsamp: int) -> t
                 self.paste(col_row(blocks, r))
 
         def merge(self, other: "VImage") -> None:
-            filled = ~np.isnan(other.data)
-            self.data[filled] = other.data[filled]
+            if other._data is None:
+                self._dense()
+                for block in other._blocks:
+                    self._write(*block)
+                return
+            filled = ~np.isnan(other._data)
+            self._dense()[filled] = other._data[filled]
 
         def pack(self) -> dict[str, np.ndarray]:
-            return {"data": self.data.copy()}
+            return {"data": self._dense().copy()}
 
         @classmethod
         def unpack(cls, packed: dict[str, np.ndarray]) -> "VImage":
             obj = cls()
-            obj.data = packed["data"].copy()
+            obj._data = packed["data"].copy()
             return obj
 
         def image(self) -> np.ndarray:
-            return np.nan_to_num(self.data, nan=0.0).reshape(out_h, out_w, 3)
-
-        @property
-        def nbytes(self) -> int:
-            return self.data.nbytes
+            return np.nan_to_num(self._dense(), nan=0.0).reshape(out_h, out_w, 3)
 
     VImage.__name__ = f"VImage{out_w}x{out_h}"
     # query-dependent class: anchor it so instances can cross process
@@ -205,9 +252,9 @@ def make_vmscope_registry() -> IntrinsicRegistry:
                     "subsamp",
                 ),
                 writes=("return",),
-                # per-tile work is already NumPy-vectorized internally, so
-                # the batch form is the generic rowwise wrapper
-                batch_fn=rowwise_batch(subsample_tile_masked),
+                # the scalar form stays the masked kernel (what the cost
+                # model prices); the batch form slices each tile strided
+                batch_fn=batch_subsample_tile,
                 # conditional-mask kernel touches every tile pixel
                 cost=lambda p: OpCount(
                     flops=2.0 * p.get("tile.pixels", 4096.0),

@@ -8,15 +8,19 @@ The second half of this module is the columnar runtime used by the
 ``vector`` codegen backend (:mod:`repro.codegen.vectorize`): a *column* is
 either a fixed NumPy array of shape ``(n,)`` / ``(n, L)`` or a ragged
 ``(values, offsets)`` pair with ``len(offsets) == n + 1``.  The helpers
-here compress, gather, and iterate columns in either representation so
-generated vector code and batch intrinsic implementations stay agnostic
-of which one a field happens to use.
+here count, compress (:func:`col_take`) and index (:func:`col_row`)
+columns in either representation, so generated vector code and batch
+intrinsics stay agnostic of which one a field happens to use.  A compress
+that keeps every row hands back the column itself, which is safe because
+generated code never writes into a column.  Batch intrinsics bring
+their own columnar kernels (``batch_fn``), each byte-identical to
+folding its scalar form over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -115,7 +119,13 @@ def ragged_take(
 
 
 def col_take(col: Any, selector: np.ndarray) -> Any:
-    """Compress a column (fixed or ragged) by boolean mask or index."""
+    """Compress a column (fixed or ragged) by boolean mask or index.
+
+    A mask that keeps every row returns the column itself: generated code
+    never writes into a column, so the copy would buy nothing."""
+    selector = np.asarray(selector)
+    if selector.dtype == np.bool_ and selector.all():
+        return col
     if isinstance(col, tuple):
         return ragged_take(col, selector)
     return col[selector]
@@ -128,38 +138,6 @@ def vec_mask(mask: Any, n: int) -> np.ndarray:
     if mask.ndim == 0:
         return np.full(n, bool(mask))
     return mask.astype(bool, copy=False)
-
-
-def rowwise_batch(fn: Callable, dtype=np.float64) -> Callable:
-    """Generic batch form for an array-returning scalar intrinsic: apply
-    ``fn`` per record and collect the results as one ragged pair.
-
-    Columnar arguments are arrays (first axis = records) or ragged pairs;
-    anything else broadcasts.  Use for kernels whose per-record work is
-    already vectorized internally (e.g. the virtual microscope's
-    tile subsampler) — truly columnar kernels should implement a native
-    batch form instead."""
-
-    def batch(*args: Any) -> tuple[np.ndarray, np.ndarray]:
-        n = None
-        for a in args:
-            if isinstance(a, tuple) or (
-                isinstance(a, np.ndarray) and a.ndim >= 1
-            ):
-                n = col_count(a)
-                break
-        if n is None:
-            raise TypeError(
-                f"rowwise batch form of {fn.__name__} needs at least one "
-                "columnar argument to infer the record count"
-            )
-        rows = [
-            np.asarray(fn(*(col_row(a, r) for a in args)))
-            for r in range(n)
-        ]
-        return ragged_from_rows(rows, dtype)
-
-    return batch
 
 
 #: packet index marking a FINAL buffer (reduction state flush at finalize)

@@ -31,7 +31,7 @@ from repro.serve import (
     oneshot,
 )
 
-from .serve_gates import GatedService, hold_first_batch
+from repro.serve.gates import GatedService, hold_next_batch
 
 # small workloads: fusion semantics, not throughput, are under test here
 KNN_KW = dict(n_points=2_000, num_packets=3)
@@ -210,7 +210,7 @@ def _serve_burst(service_kw, server_kw, bodies, engine="threaded"):
         **server_kw,
     )
     server = PipelineServer([make_knn_service(**service_kw)], options)
-    hold_first_batch(server, len(bodies))
+    hold_next_batch(server, len(bodies))
     with server:
         with LocalClient(server, timeout=600.0) as client:
             responses = client.burst([("knn", b) for b in bodies])
@@ -222,7 +222,7 @@ def _held_server(services, n: int) -> PipelineServer:
     """A not-yet-started server whose first batch is the first ``n``
     requests submitted to it."""
     server = PipelineServer(services, ServerOptions(max_batch=16))
-    hold_first_batch(server, n)
+    hold_next_batch(server, n)
     return server
 
 

@@ -34,7 +34,7 @@ from repro.serve import (
     oneshot,
 )
 
-from .serve_gates import GatedService, hold_first_batch
+from repro.serve.gates import GatedService, hold_next_batch
 
 # small workloads: serving semantics, not throughput, are under test here
 KNN_KW = dict(n_points=2_000, num_packets=3)
@@ -313,18 +313,31 @@ class TestAdmissionQueue:
         assert time.monotonic() - t0 >= 0.04
         assert retry_after is not None
 
-    def test_block_waits_for_space(self):
+    def test_block_waits_for_space(self, monkeypatch):
+        """A full queue parks the offer on its not-full wait; the drainer
+        pops only once the offer is parked there, and the offer is then
+        admitted into the freed slot."""
         q = AdmissionQueue(capacity=1, policy="block")
         q.offer(_pending())
+        parked = threading.Event()
+        real_wait = q._not_full.wait
 
-        def drain_soon():
-            time.sleep(0.05)
-            q.take()
+        def wait(timeout=None):
+            parked.set()
+            return real_wait(timeout)
 
-        t = threading.Thread(target=drain_soon)
+        monkeypatch.setattr(q._not_full, "wait", wait)
+
+        def drain_once_parked():
+            # take() needs the lock, which the parked offer has released
+            if parked.wait(60):
+                q.take()
+
+        t = threading.Thread(target=drain_once_parked)
         t.start()
-        admitted, _, _ = q.offer(_pending())  # blocks until drain_soon pops
+        admitted, _, _ = q.offer(_pending())  # blocks until the drainer pops
         t.join()
+        assert parked.is_set()
         assert admitted
         assert len(q) == 1
 
@@ -367,7 +380,7 @@ class TestAdmissionQueue:
 class TestServer:
     def test_coalescing_one_execution_per_group(self, knn_service):
         server = PipelineServer([knn_service], ServerOptions(max_batch=16))
-        hold_first_batch(server, 6)
+        hold_next_batch(server, 6)
         with server:
             client = LocalClient(server)
             body = {"x": 0.3, "y": 0.3, "z": 0.3}
@@ -379,6 +392,11 @@ class TestServer:
             assert stats["executions"] == 1
             # mean includes the stats request's own batch of one
             assert stats["batch_occupancy_mean"] > 1.0
+            # held again on the running, idle server: one more execution
+            hold_next_batch(server, 6)
+            responses = client.burst([("knn", body)] * 6)
+            assert {r.group_size for r in responses} == {6}
+            assert client.stats()["executions"] == 2
 
     def test_expired_deadline_is_not_served(self, knn_service):
         with PipelineServer([knn_service], ServerOptions(max_batch=4)) as server:
@@ -803,7 +821,7 @@ class TestDifferentialBurst:
         server = PipelineServer(
             services, ServerOptions(max_batch=32, max_queue=128)
         )
-        hold_first_batch(server, len(requests))
+        hold_next_batch(server, len(requests))
         with server:
             client = LocalClient(server, timeout=600.0)
             responses = client.burst(requests)

@@ -54,7 +54,7 @@ from repro.serve.transport import (
     read_frame,
 )
 
-from .serve_gates import hold_first_batch
+from repro.serve.gates import hold_next_batch
 
 KNN_KW = dict(n_points=2_000, num_packets=3)
 VM_KW = dict(image_w=96, image_h=96, tile=32, num_packets=3)
@@ -311,7 +311,7 @@ class TestClientConformance:
     @pytest.mark.parametrize("transport", ["local", "remote"])
     def test_burst_coalesces(self, transport, knn_service):
         server = PipelineServer([knn_service], ServerOptions(max_batch=16))
-        hold_first_batch(server, 6)
+        hold_next_batch(server, 6)
         with server, _client(transport, server) as client:
             responses = client.burst([("knn", {"x": 0.4, "y": 0.4, "z": 0.4})] * 6)
         assert all(r.ok for r in responses)
@@ -703,7 +703,7 @@ class TestRemoteEqualsLocal:
             [knn_service, vm_service], ServerOptions(max_batch=32, max_queue=128)
         )
         # the local burst's first 32 requests are one batch
-        hold_first_batch(server, len(requests))
+        hold_next_batch(server, len(requests))
         with server:
             local = LocalClient(server, timeout=600.0)
             local_responses = local.burst(requests)

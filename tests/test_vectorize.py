@@ -253,6 +253,12 @@ class Main {
 }
 """
 
+#: the same update under a guard: a guard that keeps every row hands the
+#: packet's own arrays on, so the update must not write through them either
+GUARDED_COMPOUND_SOURCE = COMPOUND_SOURCE.replace(
+    "double v = r.a;", "if (r.a > thresh) {\n                double v = r.a;"
+).replace("local.add(v + r.a);", "local.add(v + r.a);\n                }")
+
 #: compound assignment inside a branch: the branch-save is an alias of
 #: the pre-branch value, so an in-place '+=' would leak the branch effect
 #: into every lane through the np.where merge
@@ -427,6 +433,22 @@ def test_compound_assign_does_not_mutate_input():
     scalar, s_best = _run_snippet(COMPOUND_SOURCE, "scalar", packets, params)
     vector, v_best = _run_snippet(COMPOUND_SOURCE, "vector", packets, params)
     assert _loop_counts(vector)[0] == (1, 0)
+    for pk, orig in zip(packets, before):
+        for fld, arr in orig.items():
+            assert np.array_equal(pk.fields[fld], arr), fld
+    assert np.float64(s_best).tobytes() == np.float64(v_best).tobytes()
+
+
+def test_compound_assign_under_all_rows_guard_does_not_mutate_input():
+    """A guard that keeps every row returns the packet's columns unchanged
+    (no copy), and the update after it still leaves them untouched."""
+    packets = _snippet_packets(seed=17)
+    before = [{k: v.copy() for k, v in pk.fields.items()} for pk in packets]
+    params = {"thresh": -1e9, "num_packets": len(packets)}
+    scalar, s_best = _run_snippet(GUARDED_COMPOUND_SOURCE, "scalar", packets, params)
+    vector, v_best = _run_snippet(GUARDED_COMPOUND_SOURCE, "vector", packets, params)
+    assert _loop_counts(vector)[0] == (1, 0)
+    assert "_col_take(" in vector.pipeline.filters[0].source
     for pk, orig in zip(packets, before):
         for fld, arr in orig.items():
             assert np.array_equal(pk.fields[fld], arr), fld
