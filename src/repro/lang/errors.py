@@ -8,12 +8,13 @@ for user-program problems; those are reserved for API misuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    """Half-open region of source text: line/col are 1-based, end exclusive."""
+class SourceSpan(NamedTuple):
+    """Half-open region of source text: line/col are 1-based, end exclusive.
+
+    Immutable; a tuple, so the lexer builds one per token cheaply."""
 
     line: int
     col: int

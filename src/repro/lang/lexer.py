@@ -1,16 +1,26 @@
-"""Hand-written lexer for the pipeline dialect.
+"""Lexer for the pipeline dialect.
 
-A single forward scan over the source string producing :class:`Token`
-objects.  Comments (``//`` line and ``/* */`` block) and whitespace are
-skipped; every token carries a precise :class:`SourceSpan` for diagnostics.
+One precompiled master regular expression scans the source: each match is
+trivia (whitespace and ``//`` / ``/* */`` comments, skipped), a number, an
+identifier or keyword, an operator, or a well-formed string literal.  The
+line and column of every token come from a running line counter and the
+offset of the current line's start, so every token carries a precise
+:class:`SourceSpan` for diagnostics.
+
+Numbers are ASCII ``[0-9]`` only; identifiers start with a letter or ``_``
+(Unicode letters included) and continue with letters, digits or ``_``.
+Whatever the master pattern does not match is an error: an unterminated
+block comment, a malformed string literal, or an unexpected character.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import LexError, SourceSpan
 from .tokens import KEYWORDS, Token, TokKind
 
-_TWO_CHAR = {
+_OPERATORS = {
     "==": TokKind.EQ,
     "!=": TokKind.NE,
     "<=": TokKind.LE,
@@ -21,9 +31,6 @@ _TWO_CHAR = {
     "-=": TokKind.MINUS_ASSIGN,
     "*=": TokKind.STAR_ASSIGN,
     "/=": TokKind.SLASH_ASSIGN,
-}
-
-_ONE_CHAR = {
     "{": TokKind.LBRACE,
     "}": TokKind.RBRACE,
     "(": TokKind.LPAREN,
@@ -46,149 +53,115 @@ _ONE_CHAR = {
     ":": TokKind.COLON,
 }
 
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+
+# Group numbers (``match.lastindex``) select the token class; a float needs
+# a fraction or an exponent, each with at least one digit after it, so
+# ``1.e5`` is INT DOT IDENT and ``1e+;`` is INT IDENT PLUS SEMI.  Two-char
+# operators come before their one-char prefixes, and a ``/`` that opens an
+# unterminated comment is no operator.
+_TRIVIA, _FLOAT, _INT, _IDENT, _OP, _STRING = range(1, 7)
+_MASTER = re.compile(
+    r"""
+    ( (?: [ \t\r\n]+ | //[^\n]* | /\*(?s:.*?)\*/ )+ )
+  | ( [0-9]+ (?: \.[0-9]+ (?:[eE][+-]?[0-9]+)? | [eE][+-]?[0-9]+ ) )
+  | ( [0-9]+ )
+  | ( [^\W\d]\w* )
+  | ( [=!<>]= | && | \|\| | [-+*/]= | /(?!\*) | [{}()\[\];,.=+\-*%<>!?:] )
+  | ( "(?:[^"\\\n]|\\[nt"\\])*" )
+    """,
+    re.VERBOSE,
+)
+
 
 class Lexer:
     """Tokenizes one source string.  Use :func:`tokenize` for convenience."""
 
     def __init__(self, source: str) -> None:
         self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- character helpers -------------------------------------------------
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < len(self.src) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.src):
-                return
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _span_from(self, line: int, col: int) -> SourceSpan:
-        return SourceSpan(line, col, self.line, self.col)
-
-    # -- skipping ----------------------------------------------------------
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = SourceSpan.point(self.line, self.col)
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self.pos >= len(self.src):
-                        raise LexError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-    def _number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        saw_dot = saw_exp = False
-        while True:
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp and self._peek(1).isdigit():
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in "+-" and self._peek(2).isdigit())
-            ):
-                saw_exp = True
-                self._advance(2 if self._peek(1) in "+-" else 1)
-            else:
-                break
-        text = self.src[start : self.pos]
-        kind = TokKind.FLOAT if (saw_dot or saw_exp) else TokKind.INT
-        return Token(kind, text, self._span_from(line, col))
-
-    def _ident_or_keyword(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.src[start : self.pos]
-        kind = KEYWORDS.get(text, TokKind.IDENT)
-        return Token(kind, text, self._span_from(line, col))
-
-    def _string(self) -> Token:
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if ch == "":
-                raise LexError("unterminated string literal", SourceSpan.point(line, col))
-            if ch == "\n":
-                raise LexError("newline in string literal", SourceSpan.point(line, col))
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._peek()
-                table = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
-                if esc not in table:
-                    raise LexError(
-                        f"unknown escape sequence '\\{esc}'",
-                        SourceSpan.point(self.line, self.col),
-                    )
-                chars.append(table[esc])
-                self._advance()
-            else:
-                chars.append(ch)
-                self._advance()
-        return Token(TokKind.STRING, "".join(chars), self._span_from(line, col))
-
-    # -- main loop ----------------------------------------------------------
     def tokens(self) -> list[Token]:
+        src = self.src
         out: list[Token] = []
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.src):
-                out.append(
-                    Token(TokKind.EOF, "", SourceSpan.point(self.line, self.col))
-                )
-                return out
-            ch = self._peek()
-            if ch.isdigit():
-                out.append(self._number())
-            elif ch.isalpha() or ch == "_":
-                out.append(self._ident_or_keyword())
-            elif ch == '"':
-                out.append(self._string())
+        append = out.append
+        new = tuple.__new__
+        keywords = KEYWORDS
+        operators = _OPERATORS
+        ident = TokKind.IDENT
+        line = 1
+        line_start = 0  # offset of the current line's first character
+        pos = 0
+        for m in _MASTER.finditer(src):
+            start = m.start()
+            if start != pos:
+                break  # an unmatched character sits at ``pos``
+            pos = m.end()
+            group = m.lastindex
+            text = m.group()
+            if group == _TRIVIA:
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = start + text.rindex("\n") + 1
+                continue
+            col = start - line_start + 1
+            if group == _IDENT:
+                if not text.isascii() and not (text[0].isalpha() or text[0] == "_"):
+                    pos = start  # a numeric character cannot start a name
+                    break
+                kind = keywords.get(text, ident)
+            elif group == _OP:
+                kind = operators[text]
+            elif group == _INT:
+                kind = TokKind.INT
+            elif group == _FLOAT:
+                kind = TokKind.FLOAT
             else:
-                two = ch + self._peek(1)
-                if two in _TWO_CHAR:
-                    line, col = self.line, self.col
-                    self._advance(2)
-                    out.append(Token(_TWO_CHAR[two], two, self._span_from(line, col)))
-                elif ch in _ONE_CHAR:
-                    line, col = self.line, self.col
-                    self._advance()
-                    out.append(Token(_ONE_CHAR[ch], ch, self._span_from(line, col)))
-                else:
-                    raise LexError(
-                        f"unexpected character {ch!r}",
-                        SourceSpan.point(self.line, self.col),
-                    )
+                kind = TokKind.STRING
+                text = _decode(text[1:-1])
+            span = new(SourceSpan, (line, col, line, pos - line_start + 1))
+            append(new(Token, (kind, text, span)))
+        if pos < len(src):
+            self._fail(pos, line, pos - line_start + 1)
+        append(Token(TokKind.EOF, "", SourceSpan.point(line, pos - line_start + 1)))
+        return out
+
+    def _fail(self, pos: int, line: int, col: int) -> None:
+        """Raise the diagnostic for the text at ``pos`` that no token
+        matches."""
+        src = self.src
+        if src.startswith("/*", pos):
+            raise LexError("unterminated block comment", SourceSpan.point(line, col))
+        if src[pos] == '"':
+            _string_error(src, pos, line, col)
+        raise LexError(f"unexpected character {src[pos]!r}", SourceSpan.point(line, col))
+
+
+def _decode(body: str) -> str:
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], body)
+
+
+def _string_error(src: str, pos: int, line: int, col: int) -> None:
+    """Raise the error of the malformed string literal opening at ``pos``
+    (which the master pattern did not match)."""
+    i = pos + 1
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            raise LexError("newline in string literal", SourceSpan.point(line, col))
+        if ch == "\\":
+            i += 1
+            esc = src[i] if i < len(src) else ""
+            if esc not in _ESCAPES:
+                raise LexError(
+                    f"unknown escape sequence '\\{esc}'",
+                    SourceSpan.point(line, col + i - pos),
+                )
+        i += 1
+    raise LexError("unterminated string literal", SourceSpan.point(line, col))
 
 
 def tokenize(source: str) -> list[Token]:

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for the pipeline dialect.
+"""Parser for the pipeline dialect: recursive descent for declarations
+and statements, precedence climbing for binary expressions.
 
 Grammar (EBNF, ``//`` comments and whitespace elided by the lexer)::
 
@@ -26,7 +27,8 @@ Grammar (EBNF, ``//`` comments and whitespace elided by the lexer)::
 
 Expressions use conventional precedence: ``?:``, ``||``, ``&&``, equality,
 relational, additive, multiplicative, unary, postfix
-(call / field / index), primary.  ``new T(args)`` allocates an object;
+(call / field / index), primary.  The five binary levels are one table,
+:data:`_BINARY`, climbed by :meth:`Parser._binary`.  ``new T(args)`` allocates an object;
 ``new T[len]`` an array.
 
 The parser is deterministic with two-token lookahead (needed to tell a
@@ -42,6 +44,35 @@ from .tokens import AUG_ASSIGN_OPS, PRIMITIVE_KINDS, Token, TokKind
 from .lexer import tokenize
 
 
+#: binary operator token -> (precedence, spelling), loosest first; every
+#: level is left-associative (``?:`` sits above all of them, unary below)
+_BINARY: dict[TokKind, tuple[int, str]] = {
+    TokKind.OR: (1, "||"),
+    TokKind.AND: (2, "&&"),
+    TokKind.EQ: (3, "=="),
+    TokKind.NE: (3, "!="),
+    TokKind.LT: (4, "<"),
+    TokKind.LE: (4, "<="),
+    TokKind.GT: (4, ">"),
+    TokKind.GE: (4, ">="),
+    TokKind.PLUS: (5, "+"),
+    TokKind.MINUS: (5, "-"),
+    TokKind.STAR: (6, "*"),
+    TokKind.SLASH: (6, "/"),
+    TokKind.PERCENT: (6, "%"),
+}
+
+#: literal token -> its node
+_LITERALS = {
+    TokKind.INT: lambda tok: ast.IntLit(value=int(tok.text), span=tok.span),
+    TokKind.FLOAT: lambda tok: ast.FloatLit(value=float(tok.text), span=tok.span),
+    TokKind.STRING: lambda tok: ast.StringLit(value=tok.text, span=tok.span),
+    TokKind.KW_TRUE: lambda tok: ast.BoolLit(value=True, span=tok.span),
+    TokKind.KW_FALSE: lambda tok: ast.BoolLit(value=False, span=tok.span),
+    TokKind.KW_NULL: lambda tok: ast.NullLit(span=tok.span),
+}
+
+
 class Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.toks = tokens
@@ -53,12 +84,15 @@ class Parser:
         return Parser(tokenize(source)).parse_program()
 
     # -------------------------------------------------------------- helpers
+    # The token list always ends with EOF and ``pos`` never moves past it,
+    # so ``toks[pos]`` is always valid; only lookahead needs a bound.
     def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.toks) - 1)
-        return self.toks[i]
+        if offset:
+            return self.toks[min(self.pos + offset, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def _at(self, kind: TokKind, offset: int = 0) -> bool:
-        return self._peek(offset).kind == kind
+        return self._peek(offset).kind is kind
 
     def _advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -67,18 +101,23 @@ class Parser:
         return tok
 
     def _expect(self, kind: TokKind, context: str = "") -> Token:
-        tok = self._peek()
+        tok = self.toks[self.pos]
         if tok.kind is not kind:
             where = f" in {context}" if context else ""
             raise ParseError(
                 f"expected {kind.value!r} but found {tok.text or tok.kind.value!r}{where}",
                 tok.span,
             )
-        return self._advance()
+        if kind is not TokKind.EOF:
+            self.pos += 1
+        return tok
 
     def _accept(self, kind: TokKind) -> Token | None:
-        if self._at(kind):
-            return self._advance()
+        tok = self.toks[self.pos]
+        if tok.kind is kind:
+            if kind is not TokKind.EOF:
+                self.pos += 1
+            return tok
         return None
 
     # ------------------------------------------------------------- program
@@ -163,17 +202,10 @@ class Parser:
         return params
 
     # ---------------------------------------------------------------- types
-    def _starts_type(self, offset: int = 0) -> bool:
-        kind = self._peek(offset).kind
-        return kind in PRIMITIVE_KINDS or kind in (
-            TokKind.KW_RECTDOMAIN,
-            TokKind.IDENT,
-        )
-
     def _type(self) -> ast.TypeNode:
-        tok = self._peek()
+        tok = self.toks[self.pos]
         if tok.kind in PRIMITIVE_KINDS:
-            self._advance()
+            self.pos += 1
             node = ast.TypeNode(name=tok.text, span=tok.span)
         elif tok.kind is TokKind.KW_RECTDOMAIN:
             self._advance()
@@ -187,13 +219,16 @@ class Parser:
                 name="Rectdomain", dim=int(dim_tok.text), elem=elem, span=tok.span
             )
         elif tok.kind is TokKind.IDENT:
-            self._advance()
+            self.pos += 1
             node = ast.TypeNode(name=tok.text, span=tok.span)
         else:
             raise ParseError(f"expected a type, found {tok.text!r}", tok.span)
-        while self._at(TokKind.LBRACKET) and self._at(TokKind.RBRACKET, 1):
-            self._advance()
-            self._advance()
+        toks = self.toks
+        while (
+            toks[self.pos].kind is TokKind.LBRACKET
+            and toks[self.pos + 1].kind is TokKind.RBRACKET  # EOF-bounded
+        ):
+            self.pos += 2
             node.array_depth += 1
         return node
 
@@ -347,77 +382,56 @@ class Parser:
 
     # ---------------------------------------------------------- expressions
     def _expression(self) -> ast.Expr:
-        return self._ternary()
-
-    def _ternary(self) -> ast.Expr:
-        cond = self._logical_or()
-        if self._accept(TokKind.QUESTION):
+        """``?:`` over a binary expression; the ternary's branches are full
+        expressions, so it is right-associative."""
+        cond = self._binary(1)
+        if self.toks[self.pos].kind is TokKind.QUESTION:
+            self.pos += 1
             then = self._expression()
             self._expect(TokKind.COLON, "ternary expression")
             other = self._expression()
             return ast.Ternary(cond=cond, then=then, other=other, span=cond.span)
         return cond
 
-    def _binary_level(self, sub, table: dict[TokKind, str]):
-        left = sub()
-        while self._peek().kind in table:
-            op_tok = self._advance()
-            right = sub()
-            left = ast.Binary(
-                op=table[op_tok.kind], left=left, right=right, span=left.span
-            )
-        return left
-
-    def _logical_or(self) -> ast.Expr:
-        return self._binary_level(self._logical_and, {TokKind.OR: "||"})
-
-    def _logical_and(self) -> ast.Expr:
-        return self._binary_level(self._equality, {TokKind.AND: "&&"})
-
-    def _equality(self) -> ast.Expr:
-        return self._binary_level(
-            self._relational, {TokKind.EQ: "==", TokKind.NE: "!="}
-        )
-
-    def _relational(self) -> ast.Expr:
-        return self._binary_level(
-            self._additive,
-            {TokKind.LT: "<", TokKind.LE: "<=", TokKind.GT: ">", TokKind.GE: ">="},
-        )
-
-    def _additive(self) -> ast.Expr:
-        return self._binary_level(
-            self._multiplicative, {TokKind.PLUS: "+", TokKind.MINUS: "-"}
-        )
-
-    def _multiplicative(self) -> ast.Expr:
-        return self._binary_level(
-            self._unary,
-            {TokKind.STAR: "*", TokKind.SLASH: "/", TokKind.PERCENT: "%"},
-        )
+    def _binary(self, min_prec: int) -> ast.Expr:
+        """Precedence climbing over :data:`_BINARY`: every operator is
+        left-associative, and a ``Binary``'s span is its left operand's."""
+        left = self._unary()
+        toks = self.toks
+        while True:
+            entry = _BINARY.get(toks[self.pos].kind)
+            if entry is None or entry[0] < min_prec:
+                return left
+            prec, op = entry
+            self.pos += 1
+            right = self._binary(prec + 1)
+            left = ast.Binary(op=op, left=left, right=right, span=left.span)
 
     def _unary(self) -> ast.Expr:
-        tok = self._peek()
-        if tok.kind in (TokKind.MINUS, TokKind.NOT):
-            self._advance()
+        tok = self.toks[self.pos]
+        if tok.kind is TokKind.MINUS or tok.kind is TokKind.NOT:
+            self.pos += 1
             operand = self._unary()
             return ast.Unary(op=tok.text, operand=operand, span=tok.span)
         return self._postfix()
 
     def _postfix(self) -> ast.Expr:
         expr = self._primary()
+        toks = self.toks
         while True:
-            if self._accept(TokKind.DOT):
+            kind = toks[self.pos].kind
+            if kind is TokKind.DOT:
+                self.pos += 1
                 name = self._expect(TokKind.IDENT, "member access").text
-                if self._at(TokKind.LPAREN):
+                if toks[self.pos].kind is TokKind.LPAREN:
                     args = self._arg_list()
                     expr = ast.MethodCall(
                         obj=expr, method=name, args=args, span=expr.span
                     )
                 else:
                     expr = ast.FieldAccess(obj=expr, field_name=name, span=expr.span)
-            elif self._at(TokKind.LBRACKET):
-                self._advance()
+            elif kind is TokKind.LBRACKET:
+                self.pos += 1
                 index = self._expression()
                 self._expect(TokKind.RBRACKET, "index expression")
                 expr = ast.Index(obj=expr, index=index, span=expr.span)
@@ -436,39 +450,25 @@ class Parser:
         return args
 
     def _primary(self) -> ast.Expr:
-        tok = self._peek()
+        tok = self.toks[self.pos]
         kind = tok.kind
-        if kind is TokKind.INT:
-            self._advance()
-            return ast.IntLit(value=int(tok.text), span=tok.span)
-        if kind is TokKind.FLOAT:
-            self._advance()
-            return ast.FloatLit(value=float(tok.text), span=tok.span)
-        if kind is TokKind.STRING:
-            self._advance()
-            return ast.StringLit(value=tok.text, span=tok.span)
-        if kind is TokKind.KW_TRUE:
-            self._advance()
-            return ast.BoolLit(value=True, span=tok.span)
-        if kind is TokKind.KW_FALSE:
-            self._advance()
-            return ast.BoolLit(value=False, span=tok.span)
-        if kind is TokKind.KW_NULL:
-            self._advance()
-            return ast.NullLit(span=tok.span)
+        if kind is TokKind.IDENT:
+            self.pos += 1
+            if self.toks[self.pos].kind is TokKind.LPAREN:
+                args = self._arg_list()
+                return ast.Call(func=tok.text, args=args, span=tok.span)
+            return ast.Name(ident=tok.text, span=tok.span)
+        literal = _LITERALS.get(kind)
+        if literal is not None:
+            self.pos += 1
+            return literal(tok)
         if kind is TokKind.LPAREN:
-            self._advance()
+            self.pos += 1
             inner = self._expression()
             self._expect(TokKind.RPAREN, "parenthesized expression")
             return inner
         if kind is TokKind.KW_NEW:
             return self._new_expr()
-        if kind is TokKind.IDENT:
-            self._advance()
-            if self._at(TokKind.LPAREN):
-                args = self._arg_list()
-                return ast.Call(func=tok.text, args=args, span=tok.span)
-            return ast.Name(ident=tok.text, span=tok.span)
         raise ParseError(
             f"expected an expression, found {tok.text or tok.kind.value!r}", tok.span
         )

@@ -13,7 +13,7 @@ the Titanium infrastructure) extended with the four constructs of Section 3:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SourceSpan
 
@@ -114,8 +114,10 @@ AUG_ASSIGN_OPS: dict[TokKind, str] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One token; immutable.  A tuple, so the lexer builds one with a
+    single ``tuple.__new__`` call."""
+
     kind: TokKind
     text: str
     span: SourceSpan
