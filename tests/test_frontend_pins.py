@@ -270,6 +270,10 @@ _LEX_ERRORS = [
     ("a & b", "1:3: unexpected character '&'", (1, 3, 1, 4)),
     ("a | b", "1:3: unexpected character '|'", (1, 3, 1, 4)),
     ("a\fb", "1:2: unexpected character '\\x0c'", (1, 2, 1, 3)),
+    # numbers are ASCII [0-9]: other digits are no number (nor a name start)
+    ("int x = ²;", "1:9: unexpected character '²'", (1, 9, 1, 10)),
+    ("x = ٣;", "1:5: unexpected character '٣'", (1, 5, 1, 6)),
+    ("12٣", "1:3: unexpected character '٣'", (1, 3, 1, 4)),
 ]
 
 
@@ -280,3 +284,9 @@ def test_lex_errors_pinned(src, message, span):
     err = info.value
     assert str(err) == message
     assert (err.span.line, err.span.col, err.span.end_line, err.span.end_col) == span
+
+
+def test_non_ascii_digit_is_a_lex_error_through_parse():
+    with pytest.raises(LexError) as info:
+        parse("class A { void f() { int x = ²; } }")
+    assert info.value.span == (1, 30, 1, 31)
