@@ -17,6 +17,10 @@ separated by ``n`` **candidate boundaries** ``b_1 .. b_n``:
 The resulting :class:`FilterChain` is the unit every later phase consumes:
 Gen/Cons analysis runs per atomic filter, ReqComm annotates boundaries, the
 cost model prices atoms, and the DP assigns atoms to computing units.
+
+Building the chain also walks each atom once and records what it reads and
+writes (:class:`AtomFacts`): the cost model and the code generator read
+those facts instead of walking the tree again.
 """
 
 from __future__ import annotations
@@ -28,6 +32,28 @@ from ..lang.errors import AnalysisError
 from ..lang.typecheck import CheckedProgram
 from ..lang.types import VarSymbol
 from .fission import ElementStage, FissionedForeach, fission_foreach
+
+
+@dataclass(slots=True)
+class AtomFacts:
+    """What one atom reads and writes, from one walk of its statements
+    (and its guard) when the chain is built.  Lists keep walk order."""
+
+    #: distinct variables read by name: the statements', then the guard's
+    reads: list[VarSymbol] = field(default_factory=list)
+    #: distinct reduction roots the statements update (method-call receivers)
+    updates: list[VarSymbol] = field(default_factory=list)
+    #: every declaration in the statements
+    decls: list[ast.VarDecl] = field(default_factory=list)
+    #: dotted sources of per-record values read: element fields
+    #: (``c.minval``) and per-element locals (``v``)
+    elem_sources: frozenset[str] = frozenset()
+    #: name -> the first variable of that name the statements mention
+    #: (statement by statement, its declarations before its reads)
+    named: dict[str, VarSymbol] = field(default_factory=dict)
+    #: distinct reduction variables the statements mention (statement by
+    #: statement, its reads before its declarations)
+    reductions: list[VarSymbol] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -57,6 +83,7 @@ class AtomicFilter:
     #: first/last stage of its foreach (foreach start/end boundary markers)
     opens_foreach: bool = False
     closes_foreach: bool = False
+    facts: AtomFacts = field(default_factory=AtomFacts)
 
     @property
     def is_element(self) -> bool:
@@ -97,6 +124,10 @@ class FilterChain:
     #: loop-variable symbols of the fissioned foreach loops
     elem_vars: set[VarSymbol]
     fissioned: list[FissionedForeach] = field(default_factory=list)
+    #: reduction root -> 1-based index of the first atom that updates it
+    first_updates: dict[VarSymbol, int] = field(default_factory=dict)
+    #: variables declared by the packet atoms (carried once per packet)
+    packet_roots: set[VarSymbol] = field(default_factory=set)
 
     @property
     def n_candidates(self) -> int:
@@ -106,6 +137,16 @@ class FilterChain:
     def atom(self, index: int) -> AtomicFilter:
         """1-based accessor matching the paper's f_i numbering."""
         return self.atoms[index - 1]
+
+    def reductions_written_before(self, boundary_index: int) -> set[VarSymbol]:
+        """Reduction roots that some atom at or before ``boundary_index``
+        may update: the accumulators that already hold a partial result
+        there (before that they are scratch state)."""
+        return {
+            root
+            for root, first in self.first_updates.items()
+            if first <= boundary_index
+        }
 
 
 def _check_no_pipelined_nesting(loop: ast.PipelinedLoop) -> None:
@@ -198,8 +239,17 @@ def build_filter_chain(
     if not atoms:
         raise AnalysisError("PipelinedLoop body is empty", loop.span)
 
+    first_updates: dict[VarSymbol, int] = {}
+    packet_roots: set[VarSymbol] = set()
     for i, atom in enumerate(atoms):
         atom.index = i + 1
+        atom.facts = atom_facts(atom, elem_vars, per_element_roots)
+        for root in atom.facts.updates:
+            first_updates.setdefault(root, atom.index)
+        if atom.kind == "packet":
+            packet_roots.update(
+                d.symbol for d in atom.facts.decls if isinstance(d.symbol, VarSymbol)
+            )
 
     boundaries = [
         Boundary(
@@ -222,6 +272,71 @@ def build_filter_chain(
         per_element_roots=per_element_roots,
         elem_vars=elem_vars,
         fissioned=fissioned_loops,
+        first_updates=first_updates,
+        packet_roots=packet_roots,
+    )
+
+
+def atom_facts(
+    atom: AtomicFilter,
+    elem_vars: set[VarSymbol],
+    per_element_roots: set[VarSymbol],
+) -> AtomFacts:
+    """One walk over the atom's statements, then its guard."""
+    reads: dict[VarSymbol, None] = {}
+    updates: dict[VarSymbol, None] = {}
+    reductions: dict[VarSymbol, None] = {}
+    decls: list[ast.VarDecl] = []
+    named: dict[str, VarSymbol] = {}
+    sources: set[str] = set()
+
+    def read(node: object, stmt_reads: list[VarSymbol] | None) -> None:
+        if isinstance(node, ast.Name):
+            sym = node.symbol
+            if isinstance(sym, VarSymbol):
+                reads[sym] = None
+                if sym in per_element_roots:
+                    sources.add(sym.name)
+                if stmt_reads is not None:
+                    stmt_reads.append(sym)
+        elif isinstance(node, ast.FieldAccess):
+            base = node.obj
+            if isinstance(base, ast.Name) and base.symbol in elem_vars:
+                sources.add(f"{base.symbol.name}.{node.field_name}")  # type: ignore[union-attr]
+        elif isinstance(node, ast.MethodCall) and stmt_reads is not None:
+            base = node.obj
+            if (
+                isinstance(base, ast.Name)
+                and isinstance(base.symbol, VarSymbol)
+                and base.symbol.is_reduction
+            ):
+                updates[base.symbol] = None
+
+    for stmt in atom.stmts:
+        stmt_reads: list[VarSymbol] = []
+        stmt_decls: list[VarSymbol] = []
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.VarDecl):
+                decls.append(node)
+                if isinstance(node.symbol, VarSymbol):
+                    stmt_decls.append(node.symbol)
+            else:
+                read(node, stmt_reads)
+        for sym in stmt_decls + stmt_reads:
+            named.setdefault(sym.name, sym)
+        for sym in stmt_reads + stmt_decls:
+            if sym.is_reduction:
+                reductions[sym] = None
+    if atom.guard is not None:
+        for node in ast.walk(atom.guard):
+            read(node, None)
+    return AtomFacts(
+        reads=list(reads),
+        updates=list(updates),
+        decls=decls,
+        elem_sources=frozenset(sources),
+        named=named,
+        reductions=list(reductions),
     )
 
 

@@ -220,19 +220,6 @@ class VolumeModel:
                 return fid
         return None
 
-    def _packet_roots(self, chain: FilterChain) -> set[VarSymbol]:
-        roots: set[VarSymbol] = set()
-        for atom in chain.atoms:
-            if atom.kind != "packet":
-                continue
-            for stmt in atom.stmts:
-                for inner in ast.walk_stmts(stmt):
-                    if isinstance(inner, ast.VarDecl) and isinstance(
-                        inner.symbol, VarSymbol
-                    ):
-                        roots.add(inner.symbol)
-        return roots
-
     def stream_cardinality(
         self,
         chain: FilterChain,
@@ -249,23 +236,6 @@ class VolumeModel:
                 card *= profile.get(atom.guard_param)
         return card
 
-    def _reductions_written_before(
-        self, chain: FilterChain, boundary_index: int
-    ) -> set[VarSymbol]:
-        """Reduction roots that some atom at or before ``boundary_index``
-        may update (method-call receiver position)."""
-        written: set[VarSymbol] = set()
-        for atom in chain.atoms[:boundary_index]:
-            for stmt in atom.stmts:
-                for expr in ast.walk_exprs(stmt):
-                    if isinstance(expr, ast.MethodCall) and isinstance(
-                        expr.obj, ast.Name
-                    ):
-                        sym = expr.obj.symbol
-                        if isinstance(sym, VarSymbol) and sym.is_reduction:
-                            written.add(sym)
-        return written
-
     def boundary_volume(
         self,
         chain: FilterChain,
@@ -280,8 +250,8 @@ class VolumeModel:
         filter's ``init()`` allocates them, nothing crosses the stream;
         after an update, the partial accumulator crosses once per packet.
         """
-        packet_roots = self._packet_roots(chain)
-        hot_reductions = self._reductions_written_before(chain, boundary.index)
+        packet_roots = chain.packet_roots
+        hot_reductions = chain.reductions_written_before(boundary.index)
         total = 0.0
         priced_reductions: set[int] = set()
         for path in reqcomm:

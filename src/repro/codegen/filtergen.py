@@ -129,7 +129,9 @@ class FilterGenerator:
         self.layouts = LayoutBuilder(chain, analysis, self.config.size_hints)
         self._rt_classes = self._build_runtime_classes()
         self._reduction_decls = self._collect_reduction_decls()
+        self._red_syms = self._all_reduction_syms()
         self._red_classes = self._reduction_class_table()
+        self._names = self._name_table()
 
     # ------------------------------------------------------------------ api
     def generate(self) -> CompiledPipeline:
@@ -178,44 +180,37 @@ class FilterGenerator:
             classes[name] = register_generated(namespace[name])
         return classes
 
-    def _collect_reduction_decls(self) -> dict[int, ast.VarDecl]:
-        decls: dict[int, ast.VarDecl] = {}
+    def _collect_reduction_decls(self) -> dict[VarSymbol, ast.VarDecl]:
+        decls: dict[VarSymbol, ast.VarDecl] = {}
         for atom in self.chain.atoms:
-            for stmt in atom.stmts:
-                for inner in ast.walk_stmts(stmt):
-                    if isinstance(inner, ast.VarDecl) and isinstance(
-                        inner.symbol, VarSymbol
-                    ):
-                        if inner.symbol.is_reduction:
-                            decls[id(inner.symbol)] = inner
+            for decl in atom.facts.decls:
+                sym = decl.symbol
+                if isinstance(sym, VarSymbol) and sym.is_reduction:
+                    decls[sym] = decl
         return decls
 
     def _reduction_class_table(self) -> dict[str, type]:
         """root name -> runtime class, for every reduction symbol the
         pipelined loop touches."""
         table: dict[str, type] = {}
-        for sym in self._all_reduction_syms():
+        for sym in self._red_syms:
             if isinstance(sym.type, ClassType):
                 table[sym.name] = self._rt_classes[sym.type.name]
         return table
 
     def _all_reduction_syms(self) -> list[VarSymbol]:
-        seen: dict[int, VarSymbol] = {}
+        seen: dict[VarSymbol, None] = {}
         for atom in self.chain.atoms:
-            for stmt in atom.stmts:
-                for expr in ast.walk_exprs(stmt):
-                    if isinstance(expr, ast.Name) and isinstance(
-                        expr.symbol, VarSymbol
-                    ):
-                        if expr.symbol.is_reduction:
-                            seen.setdefault(id(expr.symbol), expr.symbol)
-                for inner in ast.walk_stmts(stmt):
-                    if isinstance(inner, ast.VarDecl) and isinstance(
-                        inner.symbol, VarSymbol
-                    ):
-                        if inner.symbol.is_reduction:
-                            seen.setdefault(id(inner.symbol), inner.symbol)
-        return list(seen.values())
+            seen.update(dict.fromkeys(atom.facts.reductions))
+        return list(seen)
+
+    def _name_table(self) -> dict[str, VarSymbol]:
+        """name -> the first variable of that name the atoms mention."""
+        table: dict[str, VarSymbol] = {}
+        for atom in self.chain.atoms:
+            for name, sym in atom.facts.named.items():
+                table.setdefault(name, sym)
+        return table
 
     # ------------------------------------------------------------- layouts
     def _layout_after_unit(self, j: int) -> PacketLayout:
@@ -250,94 +245,45 @@ class FilterGenerator:
 
     # ---------------------------------------------------------- scanning
     def _external_syms(self, atoms: list[int]) -> list[VarSymbol]:
-        seen: dict[int, VarSymbol] = {}
+        seen: dict[VarSymbol, None] = {}
         for i in atoms:
-            for expr in self._atom_exprs(i):
-                if isinstance(expr, ast.Name) and isinstance(
-                    expr.symbol, VarSymbol
-                ):
-                    sym = expr.symbol
-                    if sym.kind in ("param", "runtime"):
-                        seen.setdefault(id(sym), sym)
-        return list(seen.values())
-
-    def _atom_exprs(self, i: int):
-        atom = self.chain.atom(i)
-        for stmt in atom.stmts:
-            yield from ast.walk_exprs(stmt)
-        if atom.guard is not None:
-            yield from ast.walk_exprs(atom.guard)
+            for sym in self.chain.atom(i).facts.reads:
+                if sym.kind in ("param", "runtime"):
+                    seen[sym] = None
+        return list(seen)
 
     def _used_elem_sources(self, atoms: list[int]) -> set[str]:
         """Dotted sources (``c.minval``, ``tris``) read by these atoms."""
         used: set[str] = set()
         for i in atoms:
-            for expr in self._atom_exprs(i):
-                if isinstance(expr, ast.FieldAccess) and isinstance(
-                    expr.obj, ast.Name
-                ):
-                    sym = expr.obj.symbol
-                    if isinstance(sym, VarSymbol) and sym in self.chain.elem_vars:
-                        used.add(f"{sym.name}.{expr.field_name}")
-                elif isinstance(expr, ast.Name) and isinstance(
-                    expr.symbol, VarSymbol
-                ):
-                    if expr.symbol in self.chain.per_element_roots:
-                        used.add(expr.symbol.name)
+            used |= self.chain.atom(i).facts.elem_sources
         return used
 
     def _defined_sources(self, atoms: list[int]) -> set[str]:
-        defined: set[str] = set()
-        for i in atoms:
-            for stmt in self.chain.atom(i).stmts:
-                for inner in ast.walk_stmts(stmt):
-                    if isinstance(inner, ast.VarDecl):
-                        defined.add(inner.name)
-        return defined
+        return {
+            decl.name for i in atoms for decl in self.chain.atom(i).facts.decls
+        }
 
     def _hosted_reductions(
         self, atoms: list[int]
     ) -> dict[str, tuple[VarSymbol, bool]]:
         """Reduction roots first *updated* on this unit; value is
         (symbol, is_external) where external = declared outside the loop."""
-        first_update: dict[int, tuple[VarSymbol, int]] = {}
-        for i, atom in enumerate(self.chain.atoms, start=1):
-            for stmt in atom.stmts:
-                for expr in ast.walk_exprs(stmt):
-                    if isinstance(expr, ast.MethodCall) and isinstance(
-                        expr.obj, ast.Name
-                    ):
-                        sym = expr.obj.symbol
-                        if isinstance(sym, VarSymbol) and sym.is_reduction:
-                            first_update.setdefault(id(sym), (sym, i))
-        hosted: dict[str, tuple[VarSymbol, bool]] = {}
         atom_set = set(atoms)
-        for sym, atom_index in first_update.values():
-            if atom_index in atom_set:
-                external = id(sym) not in self._reduction_decls
-                hosted[sym.name] = (sym, external)
-        return hosted
+        return {
+            sym.name: (sym, sym not in self._reduction_decls)
+            for sym, first in self.chain.first_updates.items()
+            if first in atom_set
+        }
 
     def _reduction_sym_by_name(self, name: str) -> VarSymbol | None:
-        for sym in self._all_reduction_syms():
+        for sym in self._red_syms:
             if sym.name == name:
                 return sym
         return None
 
     def _symbol_by_name(self, name: str) -> VarSymbol | None:
-        for atom in self.chain.atoms:
-            for stmt in atom.stmts:
-                for inner in ast.walk_stmts(stmt):
-                    if isinstance(inner, ast.VarDecl) and inner.name == name:
-                        if isinstance(inner.symbol, VarSymbol):
-                            return inner.symbol
-                for expr in ast.walk_exprs(stmt):
-                    if isinstance(expr, ast.Name) and isinstance(
-                        expr.symbol, VarSymbol
-                    ):
-                        if expr.symbol.name == name:
-                            return expr.symbol
-        return None
+        return self._names.get(name)
 
     # ---------------------------------------------------------- generation
     def _generate_filter(
@@ -555,7 +501,7 @@ class FilterGenerator:
                     f"{py} = _RED_CLASSES[{root!r}].unpack(_b.reductions[{root!r}])"
                 )
             else:
-                decl = self._reduction_decls.get(id(sym))
+                decl = self._reduction_decls.get(sym)
                 if decl is not None and decl.init is not None:
                     gen.emit(f"{py} = {PyGen(env).expr(decl.init)}")
                 else:

@@ -224,21 +224,16 @@ class LayoutBuilder:
         if written_before_index is None:
             written_before_index = boundary_index
         reqcomm: PathSet = self.analysis.reqcomm[boundary_index - 1]
+        # only ship accumulators already written upstream; pristine ones
+        # are re-allocated by the consumer's init
+        written = self.chain.reductions_written_before(written_before_index)
         layout = PacketLayout()
         seen: set[str] = set()
         for path in reqcomm:
             root = path.root
             if root.is_reduction:
-                if root.name not in layout.reduction_roots:
-                    # only ship accumulators already written upstream;
-                    # pristine ones are re-allocated by the consumer's init
-                    from ..analysis.reqcomm import VolumeModel
-
-                    written = VolumeModel(self.checked)._reductions_written_before(
-                        self.chain, written_before_index
-                    )
-                    if root in written:
-                        layout.reduction_roots.append(root.name)
+                if root.name not in layout.reduction_roots and root in written:
+                    layout.reduction_roots.append(root.name)
                 continue
             if self._is_per_element(root):
                 self._add_element_path(

@@ -14,7 +14,7 @@ fission, Gen/Cons analysis) keys off them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import SYNTHETIC, SourceSpan
 
@@ -339,80 +339,85 @@ class Program:
 # Generic traversal helpers
 # ---------------------------------------------------------------------------
 
-_EXPR_CHILD_FIELDS = {
-    FieldAccess: ("obj",),
-    Index: ("obj", "index"),
-    Unary: ("operand",),
-    Binary: ("left", "right"),
-    Ternary: ("cond", "then", "other"),
-    NewArray: ("length",),
+# Child tables, keyed by exact node type: each maps a node to its direct
+# sub-expressions / sub-statements (``None`` children are left out).
+
+_EXPR_CHILDREN: dict[type, Callable[..., tuple]] = {
+    Call: lambda n: tuple(n.args),
+    MethodCall: lambda n: (n.obj, *n.args),
+    New: lambda n: tuple(n.args),
+    FieldAccess: lambda n: (n.obj,),
+    Index: lambda n: (n.obj, n.index),
+    Unary: lambda n: (n.operand,),
+    Binary: lambda n: (n.left, n.right),
+    Ternary: lambda n: (n.cond, n.then, n.other),
+    NewArray: lambda n: (n.length,),
+    VarDecl: lambda n: () if n.init is None else (n.init,),
+    Assign: lambda n: (n.target, n.value),
+    ExprStmt: lambda n: (n.expr,),
+    If: lambda n: (n.cond,),
+    While: lambda n: (n.cond,),
+    For: lambda n: () if n.cond is None else (n.cond,),
+    Foreach: lambda n: (n.domain,),
+    PipelinedLoop: lambda n: (n.domain,),
+    Return: lambda n: () if n.value is None else (n.value,),
 }
+
+_STMT_CHILDREN: dict[type, Callable[..., tuple]] = {
+    Block: lambda n: tuple(n.body),
+    If: lambda n: (n.then,) if n.other is None else (n.then, n.other),
+    While: lambda n: (n.body,),
+    Foreach: lambda n: (n.body,),
+    PipelinedLoop: lambda n: (n.body,),
+    For: lambda n: tuple(c for c in (n.init, n.update, n.body) if c is not None),
+}
+
+
+def _no_children(_node: object) -> tuple:
+    return ()
 
 
 def child_exprs(node: Union[Expr, Stmt]) -> Iterator[Expr]:
     """Yield the direct sub-expressions of an expression or statement."""
-    if isinstance(node, Call):
-        yield from node.args
-    elif isinstance(node, MethodCall):
-        yield node.obj
-        yield from node.args
-    elif isinstance(node, New):
-        yield from node.args
-    elif type(node) in _EXPR_CHILD_FIELDS:
-        for name in _EXPR_CHILD_FIELDS[type(node)]:
-            child = getattr(node, name)
-            if child is not None:
-                yield child
-    elif isinstance(node, VarDecl):
-        if node.init is not None:
-            yield node.init
-    elif isinstance(node, Assign):
-        yield node.target
-        yield node.value
-    elif isinstance(node, ExprStmt):
-        yield node.expr
-    elif isinstance(node, If):
-        yield node.cond
-    elif isinstance(node, While):
-        yield node.cond
-    elif isinstance(node, For):
-        if node.cond is not None:
-            yield node.cond
-    elif isinstance(node, (Foreach, PipelinedLoop)):
-        yield node.domain
-    elif isinstance(node, Return):
-        if node.value is not None:
-            yield node.value
+    return iter(
+        [c for c in _EXPR_CHILDREN.get(type(node), _no_children)(node) if c is not None]
+    )
 
 
 def child_stmts(stmt: Stmt) -> Iterator[Stmt]:
     """Yield the direct sub-statements of a statement."""
-    if isinstance(stmt, Block):
-        yield from stmt.body
-    elif isinstance(stmt, If):
-        yield stmt.then
-        if stmt.other is not None:
-            yield stmt.other
-    elif isinstance(stmt, (While, Foreach, PipelinedLoop)):
-        yield stmt.body
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            yield stmt.init
-        if stmt.update is not None:
-            yield stmt.update
-        yield stmt.body
+    return iter(_STMT_CHILDREN.get(type(stmt), _no_children)(stmt))
+
+
+def walk(root: Union[Expr, Stmt]) -> Iterator[Union[Expr, Stmt]]:
+    """Depth-first pre-order walk over every node under ``root``, itself
+    included: a node's sub-statements are visited before its
+    sub-expressions, so the expressions come out in :func:`walk_exprs`
+    order and the statements in :func:`walk_stmts` order."""
+    stack: list = [root]
+    pop = stack.pop
+    push = stack.extend
+    exprs = _EXPR_CHILDREN.get
+    stmts = _STMT_CHILDREN.get
+    while stack:
+        node = pop()
+        if node is None:
+            continue
+        yield node
+        kind = type(node)
+        children = exprs(kind)
+        if children is not None:
+            push(children(node))
+        children = stmts(kind)
+        if children is not None:
+            push(children(node))
 
 
 def walk_exprs(root: Union[Expr, Stmt]) -> Iterator[Expr]:
     """Depth-first pre-order walk over every expression under ``root``."""
-    stack: list[Union[Expr, Stmt]] = [root]
-    while stack:
-        node = stack.pop()
+    for node in walk(root):
         if isinstance(node, Expr):
             yield node
-        stack.extend(child_exprs(node))
-        if isinstance(node, Stmt):
-            stack.extend(child_stmts(node))
 
 
 def walk_stmts(root: Stmt) -> Iterator[Stmt]:
@@ -422,7 +427,9 @@ def walk_stmts(root: Stmt) -> Iterator[Stmt]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(child_stmts(node))
+        children = _STMT_CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(children(node))
 
 
 def find_pipelined_loops(program: Program) -> list[tuple[MethodDecl, PipelinedLoop]]:
