@@ -37,17 +37,20 @@ from .fission import ElementStage, FissionedForeach, fission_foreach
 @dataclass(slots=True)
 class AtomFacts:
     """What one atom reads and writes, from one walk of its statements
-    (and its guard) when the chain is built.  Lists keep walk order."""
+    and one of its guard when the chain is built.  Lists keep walk order."""
 
-    #: distinct variables read by name: the statements', then the guard's
+    #: distinct variables the statements read by name
     reads: list[VarSymbol] = field(default_factory=list)
     #: distinct reduction roots the statements update (method-call receivers)
     updates: list[VarSymbol] = field(default_factory=list)
     #: every declaration in the statements
     decls: list[ast.VarDecl] = field(default_factory=list)
-    #: dotted sources of per-record values read: element fields
-    #: (``c.minval``) and per-element locals (``v``)
+    #: dotted sources of per-record values the statements read: element
+    #: fields (``c.minval``) and per-element locals (``v``)
     elem_sources: frozenset[str] = frozenset()
+    #: the same two read sets of the guard
+    guard_reads: list[VarSymbol] = field(default_factory=list)
+    guard_sources: frozenset[str] = frozenset()
     #: name -> the first variable of that name the statements mention
     #: (statement by statement, its declarations before its reads)
     named: dict[str, VarSymbol] = field(default_factory=dict)
@@ -277,69 +280,6 @@ def build_filter_chain(
     )
 
 
-def atom_facts(
-    atom: AtomicFilter,
-    elem_vars: set[VarSymbol],
-    per_element_roots: set[VarSymbol],
-) -> AtomFacts:
-    """One walk over the atom's statements, then its guard."""
-    reads: dict[VarSymbol, None] = {}
-    updates: dict[VarSymbol, None] = {}
-    reductions: dict[VarSymbol, None] = {}
-    decls: list[ast.VarDecl] = []
-    named: dict[str, VarSymbol] = {}
-    sources: set[str] = set()
-
-    def read(node: object, stmt_reads: list[VarSymbol] | None) -> None:
-        if isinstance(node, ast.Name):
-            sym = node.symbol
-            if isinstance(sym, VarSymbol):
-                reads[sym] = None
-                if sym in per_element_roots:
-                    sources.add(sym.name)
-                if stmt_reads is not None:
-                    stmt_reads.append(sym)
-        elif isinstance(node, ast.FieldAccess):
-            base = node.obj
-            if isinstance(base, ast.Name) and base.symbol in elem_vars:
-                sources.add(f"{base.symbol.name}.{node.field_name}")  # type: ignore[union-attr]
-        elif isinstance(node, ast.MethodCall) and stmt_reads is not None:
-            base = node.obj
-            if (
-                isinstance(base, ast.Name)
-                and isinstance(base.symbol, VarSymbol)
-                and base.symbol.is_reduction
-            ):
-                updates[base.symbol] = None
-
-    for stmt in atom.stmts:
-        stmt_reads: list[VarSymbol] = []
-        stmt_decls: list[VarSymbol] = []
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.VarDecl):
-                decls.append(node)
-                if isinstance(node.symbol, VarSymbol):
-                    stmt_decls.append(node.symbol)
-            else:
-                read(node, stmt_reads)
-        for sym in stmt_decls + stmt_reads:
-            named.setdefault(sym.name, sym)
-        for sym in stmt_reads + stmt_decls:
-            if sym.is_reduction:
-                reductions[sym] = None
-    if atom.guard is not None:
-        for node in ast.walk(atom.guard):
-            read(node, None)
-    return AtomFacts(
-        reads=list(reads),
-        updates=list(updates),
-        decls=decls,
-        elem_sources=frozenset(sources),
-        named=named,
-        reductions=list(reductions),
-    )
-
-
 def _renumber_guards(
     stages: list[ElementStage], serial: list[int]
 ) -> list[ElementStage]:
@@ -354,3 +294,72 @@ def _renumber_guards(
             serial[0] += 1
         out.append(stage)
     return out
+
+
+def atom_facts(
+    atom: AtomicFilter,
+    elem_vars: set[VarSymbol],
+    per_element_roots: set[VarSymbol],
+) -> AtomFacts:
+    """One walk over the atom's statements, one over its guard."""
+    facts = AtomFacts()
+    reads: dict[VarSymbol, None] = {}
+    updates: dict[VarSymbol, None] = {}
+    reductions: dict[VarSymbol, None] = {}
+    sources: set[str] = set()
+    for stmt in atom.stmts:
+        stmt_reads: list[VarSymbol] = []
+        stmt_decls: list[VarSymbol] = []
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.VarDecl):
+                facts.decls.append(node)
+                if isinstance(node.symbol, VarSymbol):
+                    stmt_decls.append(node.symbol)
+            elif isinstance(node, ast.MethodCall):
+                base = node.obj
+                if (
+                    isinstance(base, ast.Name)
+                    and isinstance(base.symbol, VarSymbol)
+                    and base.symbol.is_reduction
+                ):
+                    updates[base.symbol] = None
+            else:
+                _read(node, stmt_reads, sources, elem_vars, per_element_roots)
+        reads.update(dict.fromkeys(stmt_reads))
+        for sym in stmt_decls + stmt_reads:
+            facts.named.setdefault(sym.name, sym)
+        for sym in stmt_reads + stmt_decls:
+            if sym.is_reduction:
+                reductions[sym] = None
+    facts.reads = list(reads)
+    facts.updates = list(updates)
+    facts.reductions = list(reductions)
+    facts.elem_sources = frozenset(sources)
+    if atom.guard is not None:
+        guard_reads: list[VarSymbol] = []
+        guard_sources: set[str] = set()
+        for node in ast.walk(atom.guard):
+            _read(node, guard_reads, guard_sources, elem_vars, per_element_roots)
+        facts.guard_reads = list(dict.fromkeys(guard_reads))
+        facts.guard_sources = frozenset(guard_sources)
+    return facts
+
+
+def _read(
+    node: object,
+    reads: list[VarSymbol],
+    sources: set[str],
+    elem_vars: set[VarSymbol],
+    per_element_roots: set[VarSymbol],
+) -> None:
+    """Record what one expression node reads."""
+    if isinstance(node, ast.Name):
+        sym = node.symbol
+        if isinstance(sym, VarSymbol):
+            reads.append(sym)
+            if sym in per_element_roots:
+                sources.add(sym.name)
+    elif isinstance(node, ast.FieldAccess):
+        base = node.obj
+        if isinstance(base, ast.Name) and base.symbol in elem_vars:
+            sources.add(f"{base.symbol.name}.{node.field_name}")  # type: ignore[union-attr]

@@ -247,7 +247,8 @@ class FilterGenerator:
     def _external_syms(self, atoms: list[int]) -> list[VarSymbol]:
         seen: dict[VarSymbol, None] = {}
         for i in atoms:
-            for sym in self.chain.atom(i).facts.reads:
+            facts = self.chain.atom(i).facts
+            for sym in facts.reads + facts.guard_reads:
                 if sym.kind in ("param", "runtime"):
                     seen[sym] = None
         return list(seen)
@@ -256,7 +257,8 @@ class FilterGenerator:
         """Dotted sources (``c.minval``, ``tris``) read by these atoms."""
         used: set[str] = set()
         for i in atoms:
-            used |= self.chain.atom(i).facts.elem_sources
+            facts = self.chain.atom(i).facts
+            used |= facts.elem_sources | facts.guard_sources
         return used
 
     def _defined_sources(self, atoms: list[int]) -> set[str]:

@@ -375,8 +375,11 @@ class _GroupEmitter:
             self.columnar.discard(name)
 
     # -- guards -------------------------------------------------------------
-    def guard(self, guard: ast.Expr) -> None:
+    def guard(self, guard: ast.Expr, live: set[str]) -> None:
+        """Compress the columns still ``live`` after the guard; the rest
+        (read by nothing later) are dropped instead of taken."""
         self.gen.emit(f"_mask = _vec_mask({self._expr(guard)}, _n)")
+        self.columnar &= live
         for name in sorted(self.columnar):
             self.gen.emit(f"{name} = _col_take({name}, _mask)")
         self.gen.emit("_n = int(_mask.sum())")
@@ -583,11 +586,11 @@ def _emit_vector_group_body(
     gen.emit(f"_n = {'_pk.count' if source_mode else '_b.count'}")
 
     em = _GroupEmitter(fg, gen, env, columnar)
-    for i in group:
+    for k, i in enumerate(group):
         atom = chain.atom(i)
         gen.emit(f"# atom f{i} ({atom.label})")
         if atom.guard is not None:
-            em.guard(atom.guard)
+            em.guard(atom.guard, _live_names(fg, env, group[k:], out_layout))
         for stmt in atom.stmts:
             em.stmt(stmt)
 
@@ -600,3 +603,30 @@ def _emit_vector_group_body(
                 value = f"_np.full(_n, {value})"
             items.append(f"{col.name}={value}")
         gen.emit(f"_bb.extend({', '.join(items)})")
+
+
+def _live_names(
+    fg: Any, env: NameEnv, atoms: list[int], out_layout: PacketLayout | None
+) -> set[str]:
+    """Python names read after the guard of ``atoms[0]`` — by the
+    statements of ``atoms``, the guards of ``atoms[1:]`` — or shipped by the
+    out layout: the columns that guard must keep in step."""
+    sources: set[str] = set()
+    syms: list[VarSymbol] = []
+    for k, i in enumerate(atoms):
+        facts = fg.chain.atom(i).facts
+        sources |= facts.elem_sources
+        syms.extend(facts.reads)
+        if k:
+            sources |= facts.guard_sources
+            syms.extend(facts.guard_reads)
+    if out_layout is not None:
+        for col in out_layout.columns:
+            sources.add(col.source)
+            if "." not in col.source:
+                sym = fg._symbol_by_name(col.source)
+                if sym is not None:
+                    syms.append(sym)
+    live = {mangle(source) for source in sources}
+    live.update(env.bindings[id(sym)] for sym in syms if id(sym) in env.bindings)
+    return live

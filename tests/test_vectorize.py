@@ -129,6 +129,24 @@ def test_backends_identical(app_name, engine):
         no_orphans()
 
 
+@pytest.mark.parametrize("app_name", ["zbuffer", "apixels"])
+def test_guard_takes_only_live_columns(app_name):
+    """The cube-rejection guard reads minval/maxval and nothing after it
+    does: the source unit compresses the shipped columns only."""
+    app, workload = APPS[app_name]()
+    _specs, result = _specs_for_version(
+        app, workload, "Decomp-Comp", cluster_config(1), backend="vector"
+    )
+    source = result.pipeline.filters[0].source
+    assert "_mask = _vec_mask(" in source
+    taken = [
+        line.split("=")[0].strip()
+        for line in source.splitlines()
+        if "_col_take(" in line
+    ]
+    assert taken == ["c__vals", "c__x", "c__y", "c__z"]
+
+
 # ---------------------------------------------------------------------------
 # Dialect snippets: masked conditionals, reductions, scalar fallback
 # ---------------------------------------------------------------------------
