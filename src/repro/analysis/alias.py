@@ -44,13 +44,6 @@ class AliasOracle:
             return True
         return b in self._may.get(id(a), ()) or a in self._may.get(id(b), ())
 
-    def may_alias(self, a: AccessPath, b: AccessPath) -> bool:
-        if not self.may_alias_roots(a.root, b.root):
-            return False
-        return AccessPath(a.root, a.selectors, a.type).overlaps(
-            AccessPath(a.root, b.selectors, b.type)
-        )
-
     def must_define(self, written: AccessPath, target: AccessPath) -> bool:
         """Does a write to ``written`` definitely define ``target``?
         Only same-root, covering paths qualify — a may-aliased root is not a

@@ -350,23 +350,6 @@ class AccessPath:
     def elem(self, section: Section, type: Optional[Type] = None) -> "AccessPath":
         return AccessPath(self.root, self.selectors + (ElemSel(section),), type)
 
-    def with_section(self, section: Section) -> "AccessPath":
-        """Replace the *last* selector's section (used when loop analysis
-        widens an index function into a rectilinear section)."""
-        assert self.selectors and isinstance(self.selectors[-1], ElemSel)
-        return AccessPath(
-            self.root, self.selectors[:-1] + (ElemSel(section),), self.type
-        )
-
-    def widen_sections(self, section: Section) -> "AccessPath":
-        """Replace every point/unknown element selector with ``section`` —
-        the Figure 2 step that converts loop-index accesses into sections."""
-        new = tuple(
-            ElemSel(section) if isinstance(sel, ElemSel) else sel
-            for sel in self.selectors
-        )
-        return AccessPath(self.root, new, self.type)
-
     # -- relations ---------------------------------------------------------------
     def same_shape(self, other: "AccessPath") -> bool:
         """Same root and selector structure, ignoring section bounds."""

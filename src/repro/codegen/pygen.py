@@ -225,14 +225,7 @@ class PyGen:
                 )
             return self.env.lookup(sym)
         if isinstance(node, ast.FieldAccess):
-            if (
-                isinstance(node.obj, ast.Name)
-                and isinstance(node.obj.symbol, VarSymbol)
-                and self.env.is_elem(node.obj.symbol)
-            ):
-                raise CodegenError(
-                    "element fields are read-only in generated filters"
-                )
+            # element fields are read-only: the checker refuses such writes
             return f"{self.expr(node.obj, _PREC_PY['postfix'])}.{node.field_name}"
         if isinstance(node, ast.Index):
             return (

@@ -128,7 +128,9 @@ class Checker:
         self.methods: dict[str, MethodSig] = {}
         self.natives: dict[str, NativeSig] = {}
         self.runtime_params: list[VarSymbol] = []
-        self._foreach_depth = 0
+        #: one set per enclosing foreach, innermost last: the variables
+        #: declared inside it (its loop variable included)
+        self._foreach_locals: list[set[VarSymbol]] = []
         self._current_ret: Type = VOID
 
     # ------------------------------------------------------------------ api
@@ -300,6 +302,8 @@ class Checker:
         )
         if stmt.runtime_define:
             self.runtime_params.append(sym)
+        if self._foreach_locals:
+            self._foreach_locals[-1].add(sym)
         stmt.symbol = sym
         try:
             scope.define(sym)
@@ -324,15 +328,43 @@ class Checker:
                 f"cannot assign {value} to {target}",
                 stmt.span,
             )
-        # reduction discipline: no whole-object overwrite inside foreach
-        if self._foreach_depth and isinstance(stmt.target, ast.Name):
-            sym = stmt.target.symbol
-            if isinstance(sym, VarSymbol) and sym.is_reduction:
+        if self._foreach_locals:
+            self._check_foreach_write(stmt)
+
+    def _check_foreach_write(self, stmt: ast.Assign) -> None:
+        """§3: foreach iterations are order-independent, and reduction
+        updates are their only cross-iteration effect.  So inside a foreach
+        an assignment may not target a variable declared outside the
+        innermost foreach, a reduction variable, or an element's field."""
+        target = stmt.target
+        if isinstance(target, ast.Name):
+            sym = target.symbol
+            if not isinstance(sym, VarSymbol):
+                return
+            if sym.is_reduction:
                 raise SemanticError(
                     f"reduction variable '{sym.name}' may only be updated through "
                     "its methods inside foreach",
                     stmt.span,
                 )
+            if sym not in self._foreach_locals[-1]:
+                raise SemanticError(
+                    f"foreach body may not assign to '{sym.name}', declared "
+                    "outside the loop (iterations are order-independent; "
+                    "fold across elements with a reduction)",
+                    stmt.span,
+                )
+        elif (
+            isinstance(target, ast.FieldAccess)
+            and isinstance(target.obj, ast.Name)
+            and isinstance(target.obj.symbol, VarSymbol)
+            and target.obj.symbol.kind == "loopvar"
+        ):
+            raise SemanticError(
+                f"element fields are read-only: cannot assign to "
+                f"'{target.obj.symbol.name}.{target.field_name}'",
+                stmt.span,
+            )
 
     def _check_foreach(self, stmt: ast.Foreach, scope: Scope) -> None:
         domain = self._expr(stmt.domain, scope)
@@ -345,16 +377,16 @@ class Checker:
         sym = VarSymbol(stmt.var, domain.elem, kind="loopvar")
         stmt.var_symbol = sym
         inner.define(sym)
-        self._foreach_depth += 1
+        self._foreach_locals.append({sym})
         try:
             self._check_block(stmt.body, inner)
         finally:
-            self._foreach_depth -= 1
+            self._foreach_locals.pop()
         self._check_reduction_discipline(stmt)
 
     def _check_pipelined(self, stmt: ast.PipelinedLoop, scope: Scope) -> None:
         self._require(
-            self._foreach_depth == 0,
+            not self._foreach_locals,
             "PipelinedLoop may not be nested inside foreach",
             stmt.span,
         )

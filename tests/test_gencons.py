@@ -155,7 +155,7 @@ class TestLoops:
 
     def test_foreach_rebases_to_domain(self):
         facts, _ = analyze(
-            "double s = 0.0; foreach (e in d) { s = s + e.v; }",
+            "foreach (e in d) { double t = e.v; }",
             params="Rectdomain<1, E> d",
         )
         assert any(n.startswith("d[*]") for n in names(facts.cons)), names(facts.cons)

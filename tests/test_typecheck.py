@@ -6,6 +6,8 @@ from repro.lang import check, parse
 from repro.lang.errors import SemanticError
 from repro.lang.types import BOOLEAN, DOUBLE, RectdomainType
 
+from .test_vectorize import _PRELUDE as _VPRELUDE
+
 PRELUDE = """
 native Rectdomain<1, E> read();
 class E { double v; double w; }
@@ -160,6 +162,29 @@ class TestDialectRules:
             params="Rectdomain<1, E> d",
         )
 
+    def test_foreach_local_writes_allowed(self):
+        check_body(
+            "foreach (e in d) { double t = e.v; t = t * 2.0; "
+            "for (int i = 0; i < 3; i += 1) { t += e.w; } }",
+            params="Rectdomain<1, E> d",
+        )
+
+    def test_outer_write_in_nested_foreach_rejected(self):
+        # declared in the outer foreach, written in the inner one
+        with pytest.raises(SemanticError, match="may not assign to 't'"):
+            check_body(
+                "foreach (e in d) { double t = 0.0; foreach (g in d) { t = g.v; } }",
+                params="Rectdomain<1, E> d",
+            )
+
+    def test_element_field_write_rejected_with_span(self):
+        with pytest.raises(SemanticError, match="read-only: cannot assign to 'e.v'") as info:
+            check_body(
+                "foreach (e in d) {\n e.v = 1.0; }",
+                params="Rectdomain<1, E> d",
+            )
+        assert info.value.span[:2] == (PRELUDE.count("\n") + 2, 2)
+
     def test_reduction_usable_outside_foreach(self):
         check_body(
             "Acc a = new Acc(); Acc b = new Acc(); b.merge(a);",
@@ -175,3 +200,60 @@ class TestDialectRules:
         decls = meth.body.body
         assert decls[1].init.type == DOUBLE
         assert decls[2].init.type == BOOLEAN
+
+
+# ---------------------------------------------------------------------------
+# §3: a foreach body writes no variable declared outside it.  The probe
+# shapes below were accepted once and then miscompiled (a prefix scan came
+# out element-wise on the vector backend); each must be refused, with the
+# span of the offending assignment.
+# ---------------------------------------------------------------------------
+
+_PROBE = _VPRELUDE + """
+class Main {
+    void go(double thresh) {
+        Rectdomain<1, Rec> recs = read_recs();
+        Acc result = new Acc();
+        PipelinedLoop (p in recs) {
+            Acc local = new Acc();
+            %s
+            result.merge(local);
+        }
+        display(result);
+    }
+}
+"""
+
+#: name -> (PipelinedLoop body, the assignment the checker must point at)
+_PROBES = {
+    "prefix_scan": (
+        "double run = 0.0; foreach (r in p) { run = run + r.a; local.add(run); }",
+        "run = run + r.a",
+    ),
+    "sum_after_loop": (
+        "double s = 0.0; foreach (r in p) { s += r.a; } local.add(s);",
+        "s += r.a",
+    ),
+    "last_write": (
+        "double last = 0.0; "
+        "foreach (r in p) { if (r.a > thresh) { last = r.b; } } local.add(last);",
+        "last = r.b",
+    ),
+    "max_scan": (
+        "double m = 0.0; foreach (r in p) { if (r.a > m) { m = r.a; } } local.add(m);",
+        "m = r.a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROBES))
+def test_foreach_outer_write_rejected_with_span(name):
+    body, assignment = _PROBES[name]
+    source = _PROBE % body
+    with pytest.raises(SemanticError, match="may not assign to") as info:
+        check(parse(source))
+    line = next(
+        n for n, text in enumerate(source.splitlines(), 1) if assignment in text
+    )
+    col = source.splitlines()[line - 1].index(assignment) + 1
+    assert info.value.span[:2] == (line, col)
