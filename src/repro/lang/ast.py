@@ -340,7 +340,7 @@ class Program:
 # ---------------------------------------------------------------------------
 
 # Child tables, keyed by exact node type: each maps a node to its direct
-# sub-expressions / sub-statements (``None`` children are left out).
+# sub-expressions / sub-statements.
 
 _EXPR_CHILDREN: dict[type, Callable[..., tuple]] = {
     Call: lambda n: tuple(n.args),
@@ -371,22 +371,6 @@ _STMT_CHILDREN: dict[type, Callable[..., tuple]] = {
     PipelinedLoop: lambda n: (n.body,),
     For: lambda n: tuple(c for c in (n.init, n.update, n.body) if c is not None),
 }
-
-
-def _no_children(_node: object) -> tuple:
-    return ()
-
-
-def child_exprs(node: Union[Expr, Stmt]) -> Iterator[Expr]:
-    """Yield the direct sub-expressions of an expression or statement."""
-    return iter(
-        [c for c in _EXPR_CHILDREN.get(type(node), _no_children)(node) if c is not None]
-    )
-
-
-def child_stmts(stmt: Stmt) -> Iterator[Stmt]:
-    """Yield the direct sub-statements of a statement."""
-    return iter(_STMT_CHILDREN.get(type(stmt), _no_children)(stmt))
 
 
 def walk(root: Union[Expr, Stmt]) -> Iterator[Union[Expr, Stmt]]:

@@ -75,67 +75,60 @@ _MASTER = re.compile(
 )
 
 
-class Lexer:
-    """Tokenizes one source string.  Use :func:`tokenize` for convenience."""
+def tokenize(source: str) -> list[Token]:
+    """Tokenize ``source``, returning a list ending with an EOF token."""
+    out: list[Token] = []
+    append = out.append
+    new = tuple.__new__
+    keywords = KEYWORDS
+    operators = _OPERATORS
+    ident = TokKind.IDENT
+    line = 1
+    line_start = 0  # offset of the current line's first character
+    pos = 0
+    for m in _MASTER.finditer(source):
+        start = m.start()
+        if start != pos:
+            break  # an unmatched character sits at ``pos``
+        pos = m.end()
+        group = m.lastindex
+        text = m.group()
+        if group == _TRIVIA:
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        col = start - line_start + 1
+        if group == _IDENT:
+            if not text.isascii() and not (text[0].isalpha() or text[0] == "_"):
+                pos = start  # a numeric character cannot start a name
+                break
+            kind = keywords.get(text, ident)
+        elif group == _OP:
+            kind = operators[text]
+        elif group == _INT:
+            kind = TokKind.INT
+        elif group == _FLOAT:
+            kind = TokKind.FLOAT
+        else:
+            kind = TokKind.STRING
+            text = _decode(text[1:-1])
+        span = new(SourceSpan, (line, col, line, pos - line_start + 1))
+        append(new(Token, (kind, text, span)))
+    if pos < len(source):
+        _fail(source, pos, line, pos - line_start + 1)
+    append(Token(TokKind.EOF, "", SourceSpan.point(line, pos - line_start + 1)))
+    return out
 
-    def __init__(self, source: str) -> None:
-        self.src = source
 
-    def tokens(self) -> list[Token]:
-        src = self.src
-        out: list[Token] = []
-        append = out.append
-        new = tuple.__new__
-        keywords = KEYWORDS
-        operators = _OPERATORS
-        ident = TokKind.IDENT
-        line = 1
-        line_start = 0  # offset of the current line's first character
-        pos = 0
-        for m in _MASTER.finditer(src):
-            start = m.start()
-            if start != pos:
-                break  # an unmatched character sits at ``pos``
-            pos = m.end()
-            group = m.lastindex
-            text = m.group()
-            if group == _TRIVIA:
-                newlines = text.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = start + text.rindex("\n") + 1
-                continue
-            col = start - line_start + 1
-            if group == _IDENT:
-                if not text.isascii() and not (text[0].isalpha() or text[0] == "_"):
-                    pos = start  # a numeric character cannot start a name
-                    break
-                kind = keywords.get(text, ident)
-            elif group == _OP:
-                kind = operators[text]
-            elif group == _INT:
-                kind = TokKind.INT
-            elif group == _FLOAT:
-                kind = TokKind.FLOAT
-            else:
-                kind = TokKind.STRING
-                text = _decode(text[1:-1])
-            span = new(SourceSpan, (line, col, line, pos - line_start + 1))
-            append(new(Token, (kind, text, span)))
-        if pos < len(src):
-            self._fail(pos, line, pos - line_start + 1)
-        append(Token(TokKind.EOF, "", SourceSpan.point(line, pos - line_start + 1)))
-        return out
-
-    def _fail(self, pos: int, line: int, col: int) -> None:
-        """Raise the diagnostic for the text at ``pos`` that no token
-        matches."""
-        src = self.src
-        if src.startswith("/*", pos):
-            raise LexError("unterminated block comment", SourceSpan.point(line, col))
-        if src[pos] == '"':
-            _string_error(src, pos, line, col)
-        raise LexError(f"unexpected character {src[pos]!r}", SourceSpan.point(line, col))
+def _fail(src: str, pos: int, line: int, col: int) -> None:
+    """Raise the diagnostic for the text at ``pos`` that no token matches."""
+    if src.startswith("/*", pos):
+        raise LexError("unterminated block comment", SourceSpan.point(line, col))
+    if src[pos] == '"':
+        _string_error(src, pos, line, col)
+    raise LexError(f"unexpected character {src[pos]!r}", SourceSpan.point(line, col))
 
 
 def _decode(body: str) -> str:
@@ -162,8 +155,3 @@ def _string_error(src: str, pos: int, line: int, col: int) -> None:
                 )
         i += 1
     raise LexError("unterminated string literal", SourceSpan.point(line, col))
-
-
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source``, returning a list ending with an EOF token."""
-    return Lexer(source).tokens()
