@@ -34,29 +34,29 @@ from ..lang.types import VarSymbol
 from .fission import ElementStage, FissionedForeach, fission_foreach
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AtomFacts:
     """What one atom reads and writes, from one walk of its statements
-    and one of its guard when the chain is built.  Lists keep walk order."""
+    and one of its guard when the chain is built.  Tuples keep walk order."""
 
     #: distinct variables the statements read by name
-    reads: list[VarSymbol] = field(default_factory=list)
+    reads: tuple[VarSymbol, ...] = ()
     #: distinct reduction roots the statements update (method-call receivers)
-    updates: list[VarSymbol] = field(default_factory=list)
+    updates: tuple[VarSymbol, ...] = ()
     #: every declaration in the statements
-    decls: list[ast.VarDecl] = field(default_factory=list)
+    decls: tuple[ast.VarDecl, ...] = ()
     #: dotted sources of per-record values the statements read: element
     #: fields (``c.minval``) and per-element locals (``v``)
-    elem_sources: frozenset[str] = frozenset()
+    elem_sources: tuple[str, ...] = ()
     #: the same two read sets of the guard
-    guard_reads: list[VarSymbol] = field(default_factory=list)
-    guard_sources: frozenset[str] = frozenset()
-    #: name -> the first variable of that name the statements mention
-    #: (statement by statement, its declarations before its reads)
-    named: dict[str, VarSymbol] = field(default_factory=dict)
+    guard_reads: tuple[VarSymbol, ...] = ()
+    guard_sources: tuple[str, ...] = ()
+    #: the first variable of each name the statements mention (statement by
+    #: statement, its declarations before its reads)
+    named: tuple[VarSymbol, ...] = ()
     #: distinct reduction variables the statements mention (statement by
     #: statement, its reads before its declarations)
-    reductions: list[VarSymbol] = field(default_factory=list)
+    reductions: tuple[VarSymbol, ...] = ()
 
 
 @dataclass(slots=True)
@@ -86,7 +86,7 @@ class AtomicFilter:
     #: first/last stage of its foreach (foreach start/end boundary markers)
     opens_foreach: bool = False
     closes_foreach: bool = False
-    facts: AtomFacts = field(default_factory=AtomFacts)
+    facts: AtomFacts = AtomFacts()
 
     @property
     def is_element(self) -> bool:
@@ -302,17 +302,18 @@ def atom_facts(
     per_element_roots: set[VarSymbol],
 ) -> AtomFacts:
     """One walk over the atom's statements, one over its guard."""
-    facts = AtomFacts()
     reads: dict[VarSymbol, None] = {}
     updates: dict[VarSymbol, None] = {}
     reductions: dict[VarSymbol, None] = {}
+    named: dict[str, VarSymbol] = {}
+    decls: list[ast.VarDecl] = []
     sources: set[str] = set()
     for stmt in atom.stmts:
         stmt_reads: list[VarSymbol] = []
         stmt_decls: list[VarSymbol] = []
         for node in ast.walk(stmt):
             if isinstance(node, ast.VarDecl):
-                facts.decls.append(node)
+                decls.append(node)
                 if isinstance(node.symbol, VarSymbol):
                     stmt_decls.append(node.symbol)
             elif isinstance(node, ast.MethodCall):
@@ -327,22 +328,25 @@ def atom_facts(
                 _read(node, stmt_reads, sources, elem_vars, per_element_roots)
         reads.update(dict.fromkeys(stmt_reads))
         for sym in stmt_decls + stmt_reads:
-            facts.named.setdefault(sym.name, sym)
+            named.setdefault(sym.name, sym)
         for sym in stmt_reads + stmt_decls:
             if sym.is_reduction:
                 reductions[sym] = None
-    facts.reads = list(reads)
-    facts.updates = list(updates)
-    facts.reductions = list(reductions)
-    facts.elem_sources = frozenset(sources)
+    guard_reads: list[VarSymbol] = []
+    guard_sources: set[str] = set()
     if atom.guard is not None:
-        guard_reads: list[VarSymbol] = []
-        guard_sources: set[str] = set()
         for node in ast.walk(atom.guard):
             _read(node, guard_reads, guard_sources, elem_vars, per_element_roots)
-        facts.guard_reads = list(dict.fromkeys(guard_reads))
-        facts.guard_sources = frozenset(guard_sources)
-    return facts
+    return AtomFacts(
+        reads=tuple(reads),
+        updates=tuple(updates),
+        decls=tuple(decls),
+        elem_sources=tuple(sources),
+        guard_reads=tuple(dict.fromkeys(guard_reads)),
+        guard_sources=tuple(guard_sources),
+        named=tuple(named.values()),
+        reductions=tuple(reductions),
+    )
 
 
 def _read(

@@ -208,8 +208,8 @@ class FilterGenerator:
         """name -> the first variable of that name the atoms mention."""
         table: dict[str, VarSymbol] = {}
         for atom in self.chain.atoms:
-            for name, sym in atom.facts.named.items():
-                table.setdefault(name, sym)
+            for sym in atom.facts.named:
+                table.setdefault(sym.name, sym)
         return table
 
     # ------------------------------------------------------------- layouts
@@ -258,7 +258,7 @@ class FilterGenerator:
         used: set[str] = set()
         for i in atoms:
             facts = self.chain.atom(i).facts
-            used |= facts.elem_sources | facts.guard_sources
+            used.update(facts.elem_sources, facts.guard_sources)
         return used
 
     def _defined_sources(self, atoms: list[int]) -> set[str]:

@@ -615,10 +615,10 @@ def _live_names(
     syms: list[VarSymbol] = []
     for k, i in enumerate(atoms):
         facts = fg.chain.atom(i).facts
-        sources |= facts.elem_sources
+        sources.update(facts.elem_sources)
         syms.extend(facts.reads)
         if k:
-            sources |= facts.guard_sources
+            sources.update(facts.guard_sources)
             syms.extend(facts.guard_reads)
     if out_layout is not None:
         for col in out_layout.columns:
