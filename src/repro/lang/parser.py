@@ -28,8 +28,8 @@ Grammar (EBNF, ``//`` comments and whitespace elided by the lexer)::
 Expressions use conventional precedence: ``?:``, ``||``, ``&&``, equality,
 relational, additive, multiplicative, unary, postfix
 (call / field / index), primary.  The five binary levels are one table,
-:data:`_BINARY`, climbed by :meth:`Parser._binary`.  ``new T(args)`` allocates an object;
-``new T[len]`` an array.
+:data:`_BINARY`, climbed by :meth:`Parser._binary`.  ``new T(args)``
+allocates an object; ``new T[len]`` an array.
 
 The parser is deterministic with two-token lookahead (needed to tell a
 declaration ``T x`` from an expression statement starting with an
