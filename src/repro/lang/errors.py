@@ -8,13 +8,12 @@ for user-program problems; those are reserved for API misuse.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 
-class SourceSpan(NamedTuple):
-    """Half-open region of source text: line/col are 1-based, end exclusive.
-
-    Immutable; a tuple, so the lexer builds one per token cheaply."""
+@dataclass(frozen=True, slots=True)
+class SourceSpan:
+    """Half-open region of source text: line/col are 1-based, end exclusive."""
 
     line: int
     col: int

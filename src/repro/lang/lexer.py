@@ -53,6 +53,14 @@ _OPERATORS = {
     ":": TokKind.COLON,
 }
 
+# A frozen dataclass's constructor sets each field through
+# ``object.__setattr__``; the lexer builds one span per token, so it fills
+# the slots through their descriptors instead (same object, 2x cheaper).
+_SET_LINE = SourceSpan.line.__set__  # type: ignore[attr-defined]
+_SET_COL = SourceSpan.col.__set__  # type: ignore[attr-defined]
+_SET_END_LINE = SourceSpan.end_line.__set__  # type: ignore[attr-defined]
+_SET_END_COL = SourceSpan.end_col.__set__  # type: ignore[attr-defined]
+
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\(.)")
 
@@ -79,7 +87,10 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``, returning a list ending with an EOF token."""
     out: list[Token] = []
     append = out.append
-    new = tuple.__new__
+    new_token = tuple.__new__
+    new_span = object.__new__
+    set_line, set_col = _SET_LINE, _SET_COL
+    set_end_line, set_end_col = _SET_END_LINE, _SET_END_COL
     keywords = KEYWORDS
     operators = _OPERATORS
     ident = TokKind.IDENT
@@ -114,8 +125,12 @@ def tokenize(source: str) -> list[Token]:
         else:
             kind = TokKind.STRING
             text = _decode(text[1:-1])
-        span = new(SourceSpan, (line, col, line, pos - line_start + 1))
-        append(new(Token, (kind, text, span)))
+        span = new_span(SourceSpan)
+        set_line(span, line)
+        set_col(span, col)
+        set_end_line(span, line)
+        set_end_col(span, pos - line_start + 1)
+        append(new_token(Token, (kind, text, span)))
     if pos < len(source):
         _fail(source, pos, line, pos - line_start + 1)
     append(Token(TokKind.EOF, "", SourceSpan.point(line, pos - line_start + 1)))

@@ -289,4 +289,5 @@ def test_lex_errors_pinned(src, message, span):
 def test_non_ascii_digit_is_a_lex_error_through_parse():
     with pytest.raises(LexError) as info:
         parse("class A { void f() { int x = ²; } }")
-    assert info.value.span == (1, 30, 1, 31)
+    span = info.value.span
+    assert (span.line, span.col, span.end_line, span.end_col) == (1, 30, 1, 31)

@@ -183,7 +183,7 @@ class TestDialectRules:
                 "foreach (e in d) {\n e.v = 1.0; }",
                 params="Rectdomain<1, E> d",
             )
-        assert info.value.span[:2] == (PRELUDE.count("\n") + 2, 2)
+        assert (info.value.span.line, info.value.span.col) == (PRELUDE.count("\n") + 2, 2)
 
     def test_reduction_usable_outside_foreach(self):
         check_body(
@@ -256,4 +256,4 @@ def test_foreach_outer_write_rejected_with_span(name):
         n for n, text in enumerate(source.splitlines(), 1) if assignment in text
     )
     col = source.splitlines()[line - 1].index(assignment) + 1
-    assert info.value.span[:2] == (line, col)
+    assert (info.value.span.line, info.value.span.col) == (line, col)
