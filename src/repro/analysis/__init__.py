@@ -1,15 +1,8 @@
-"""Compiler analyses (paper §4): candidate filter boundaries, loop fission,
-the boundary graph, one-pass Gen/Cons, required communication (ReqComm),
+"""Compiler analyses (paper §4): candidate filter boundaries as a chain,
+loop fission, one-pass Gen/Cons, required communication (ReqComm),
 interprocedural summaries, operation counting, and workload profiles."""
 
-from .alias import AliasOracle, ConservativeOracle
 from .boundaries import AtomicFilter, Boundary, FilterChain, build_filter_chain
-from .boundary_graph import (
-    BoundaryEdge,
-    BoundaryNode,
-    CandidateBoundaryGraph,
-    chain_from_filter_chain,
-)
 from .fission import ElementStage, FissionedForeach, fission_foreach, rebuild_foreach_ast
 from .gencons import GenConsAnalyzer, SegmentFacts, symbol_tag
 from .opcount import OpCounter
@@ -27,14 +20,9 @@ from .workload import WorkloadProfile
 
 __all__ = [
     "AccessPath",
-    "AliasOracle",
     "AtomicFilter",
     "Boundary",
-    "BoundaryEdge",
-    "BoundaryNode",
-    "CandidateBoundaryGraph",
     "CommAnalysis",
-    "ConservativeOracle",
     "ElemSel",
     "ElementStage",
     "FieldSel",
@@ -51,7 +39,6 @@ __all__ = [
     "WorkloadProfile",
     "analyze_communication",
     "build_filter_chain",
-    "chain_from_filter_chain",
     "fission_foreach",
     "live_out_paths",
     "rebuild_foreach_ast",

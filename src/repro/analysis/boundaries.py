@@ -16,7 +16,9 @@ separated by ``n`` **candidate boundaries** ``b_1 .. b_n``:
 
 The resulting :class:`FilterChain` is the unit every later phase consumes:
 Gen/Cons analysis runs per atomic filter, ReqComm annotates boundaries, the
-cost model prices atoms, and the DP assigns atoms to computing units.
+cost model prices atoms, and the DP assigns atoms to computing units.  It is
+the paper's candidate boundary graph: packet-level conditionals stay inside
+one atom, so that graph is always this chain.
 
 Building the chain also walks each atom once and records what it reads and
 writes (:class:`AtomFacts`): the cost model and the code generator read
@@ -88,10 +90,6 @@ class AtomicFilter:
     closes_foreach: bool = False
     facts: AtomFacts = AtomFacts()
 
-    @property
-    def is_element(self) -> bool:
-        return self.kind == "element"
-
     def __repr__(self) -> str:
         return f"<f{self.index} {self.kind} {self.label!r}>"
 
@@ -131,11 +129,6 @@ class FilterChain:
     first_updates: dict[VarSymbol, int] = field(default_factory=dict)
     #: variables declared by the packet atoms (carried once per packet)
     packet_roots: set[VarSymbol] = field(default_factory=set)
-
-    @property
-    def n_candidates(self) -> int:
-        """n: the number of candidate boundaries."""
-        return len(self.boundaries)
 
     def atom(self, index: int) -> AtomicFilter:
         """1-based accessor matching the paper's f_i numbering."""

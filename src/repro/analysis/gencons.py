@@ -2,8 +2,13 @@
 
 For a code segment ``b`` (the statements of one atomic filter):
 
-* ``Gen(b)``  — values *definitely defined* in ``b`` (must-alias updates),
-* ``Cons(b)`` — values used in ``b`` and not defined in it (may-alias).
+* ``Gen(b)``  — values *definitely defined* in ``b``,
+* ``Cons(b)`` — values used in ``b`` and not defined in it.
+
+The must-alias test is path identity: a write defines the paths of its own
+root that it covers, and nothing reached through another root.  The
+dialect's rules make that exact for ``Rectdomain`` elements (never aliased,
+§3) and for distinct field names.
 
 The algorithm walks the statement sequence **in reverse**:
 
@@ -27,12 +32,9 @@ The entry points are :func:`analyze_segment` for raw statement lists and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 from ..lang import ast
 from ..lang.typecheck import CheckedProgram
-from ..lang.types import ArrayType, ClassType, RectdomainType, VarSymbol
-from .alias import AliasOracle
+from ..lang.types import VarSymbol
 from .boundaries import AtomicFilter
 from .values import (
     AccessPath,
@@ -63,12 +65,6 @@ class SegmentFacts:
     gen: PathSet = field(default_factory=PathSet)
     cons: PathSet = field(default_factory=PathSet)
 
-    def copy(self) -> "SegmentFacts":
-        out = SegmentFacts()
-        out.gen = self.gen.copy()
-        out.cons = self.cons.copy()
-        return out
-
 
 class GenConsAnalyzer:
     """Single-pass Gen/Cons engine.  One instance per compilation; reuse is
@@ -77,11 +73,9 @@ class GenConsAnalyzer:
     def __init__(
         self,
         checked: CheckedProgram,
-        alias: Optional[AliasOracle] = None,
         max_call_depth: int = 12,
     ) -> None:
         self.checked = checked
-        self.alias = alias or AliasOracle()
         self.max_call_depth = max_call_depth
         self._call_stack: list[str] = []
         #: number of statement visits — tests assert the one-pass property
@@ -137,7 +131,6 @@ class GenConsAnalyzer:
             facts.gen.add(target)
             facts.cons.remove_covered(target)
             self._apply_effects_then_uses(stmt.init, facts, value_used=True)
-            self._record_copy(sym, stmt.init)
         else:
             # an uninitialized declaration defines nothing
             pass
@@ -154,10 +147,6 @@ class GenConsAnalyzer:
         for idx_use in self._index_uses(stmt.target):
             facts.cons.add(idx_use)
         self._apply_effects_then_uses(stmt.value, facts, value_used=True)
-        if isinstance(stmt.target, ast.Name) and isinstance(
-            stmt.target.symbol, VarSymbol
-        ):
-            self._record_copy(stmt.target.symbol, stmt.value)
 
     def _apply_conditional(self, stmt: ast.If, facts: SegmentFacts) -> None:
         # Fig 2: analyze the block(s) independently; only Cons propagates.
@@ -375,11 +364,6 @@ class GenConsAnalyzer:
         return AccessPath(path.root, tuple(selectors), path.type)
 
     # ------------------------------------------------------------ expressions
-    def _record_copy(self, dst: VarSymbol, value: ast.Expr) -> None:
-        if isinstance(value, ast.Name) and isinstance(value.symbol, VarSymbol):
-            if isinstance(dst.type, (ClassType, ArrayType, RectdomainType)):
-                self.alias.record_copy(dst, value.symbol)
-
     def _apply_effects_then_uses(
         self, expr: ast.Expr, facts: SegmentFacts, value_used: bool
     ) -> None:

@@ -455,10 +455,6 @@ class PathSet:
     def remove_covered(self, definition: AccessPath) -> None:
         self._paths = [p for p in self._paths if not definition.covers(p)]
 
-    def contains(self, path: AccessPath) -> bool:
-        """Is ``path`` definitely represented (covered) by this set?"""
-        return any(p.covers(path) for p in self._paths)
-
     def may_contain(self, path: AccessPath) -> bool:
         return any(p.overlaps(path) for p in self._paths)
 
@@ -477,12 +473,6 @@ class PathSet:
                 out.add(p)
         return out
 
-    def roots(self) -> set[VarSymbol]:
-        return {p.root for p in self._paths}
-
-    def by_root(self, root: VarSymbol) -> list[AccessPath]:
-        return [p for p in self._paths if p.root is root]
-
     def copy(self) -> "PathSet":
         out = PathSet()
         out._paths = list(self._paths)
@@ -493,9 +483,6 @@ class PathSet:
 
     def __len__(self) -> int:
         return len(self._paths)
-
-    def __bool__(self) -> bool:
-        return bool(self._paths)
 
     def __repr__(self) -> str:
         inner = ", ".join(sorted(repr(p) for p in self._paths))

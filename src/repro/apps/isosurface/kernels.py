@@ -439,9 +439,6 @@ def make_zbuffer_class(width: int, height: int) -> type:
             return obj
 
         # -- test/bench helpers ------------------------------------------
-        def covered_pixels(self) -> int:
-            return int(np.isfinite(self._dense()[0]).sum())
-
         def image(self) -> np.ndarray:
             depth, color = self._dense()
             img = np.zeros(n_pix)

@@ -366,13 +366,6 @@ def make_knn_lanes_class(k: int, lanes: int) -> type:
                 [d[order], x[order], y[order], z[order]], axis=1
             )
 
-        def rows(self) -> np.ndarray:
-            """All lanes stacked, each in canonical order (debug aid)."""
-            self._flush()
-            return np.stack(
-                [self.lane_rows(lane) for lane in range(lanes)], axis=0
-            )
-
         @property
         def nbytes(self) -> int:
             return (

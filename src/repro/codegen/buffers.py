@@ -158,9 +158,6 @@ class BatchBuilder:
             self._rows[col.source].append(value)
         self._count += 1
 
-    def append_row(self, row: dict[str, Any]) -> None:
-        self.append(**row)
-
     def extend(self, **values: Any) -> None:
         """A columnar chunk of output records.
 

@@ -64,10 +64,6 @@ class ColumnSpec:
     group: str = "instance"  # 'instance' | 'fieldwise'
     first_consumer: int = 0  # unit index that first reads it
 
-    @property
-    def is_scalar(self) -> bool:
-        return not self.ragged and self.length == 1
-
 
 @dataclass(slots=True)
 class PacketFieldSpec:

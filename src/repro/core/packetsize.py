@@ -34,9 +34,6 @@ class PacketSweepResult:
     #: packet count -> plan string, for inspection
     plans: dict[int, str] = field(default_factory=dict)
 
-    def speedup_over(self, n: int) -> float:
-        return self.estimates[n] / self.estimates[self.best]
-
 
 DEFAULT_CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128)
 

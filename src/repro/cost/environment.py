@@ -13,7 +13,7 @@ transparent copies available at that stage (the paper's 1-1-1 / 2-2-1 /
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,9 +73,6 @@ class PipelineEnv:
     def link(self, j: int) -> Link:
         """1-based accessor: L_j connects C_j and C_{j+1}."""
         return self.links[j - 1]
-
-    def __iter__(self) -> Iterator[ComputeUnit]:
-        return iter(self.units)
 
     def with_widths(self, widths: Sequence[int]) -> "PipelineEnv":
         if len(widths) != self.m:

@@ -12,13 +12,11 @@ from .filters import (
     Filter,
     FilterContext,
     FilterSpec,
-    FunctionFilter,
     SourceFilter,
 )
 from .engine import ENGINES, Engine, EngineOptions, make_engine, run_pipeline
 from .mp import ProcessPipeline
 from .obs import Trace, TraceCollector
-from .placement import PlacedPipeline
 from .recovery import (
     FaultInjected,
     FaultPlan,
@@ -60,11 +58,9 @@ __all__ = [
     "Filter",
     "FilterContext",
     "FilterSpec",
-    "FunctionFilter",
     "InjectedCrash",
     "LogicalStream",
     "PipelineError",
-    "PlacedPipeline",
     "ProcessPipeline",
     "RetryPolicy",
     "RoundRobin",

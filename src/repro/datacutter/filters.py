@@ -82,18 +82,6 @@ class SourceFilter(Filter):
         yield  # noqa: W0101
 
 
-class FunctionFilter(Filter):
-    """Adapts a plain callable ``fn(payload, ctx) -> payload | None``."""
-
-    def __init__(self, fn: Callable[[Any, FilterContext], Any]) -> None:
-        self.fn = fn
-
-    def process(self, buf: Buffer, ctx: FilterContext) -> None:
-        out = self.fn(buf.payload, ctx)
-        if out is not None:
-            ctx.write(out, buf.packet)
-
-
 @dataclass(slots=True)
 class FilterSpec:
     """Description of one logical filter in a placed pipeline."""

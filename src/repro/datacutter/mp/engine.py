@@ -127,9 +127,9 @@ class _WorkerPool:
     #: where each epoch's spec list is encoded, once, for every worker;
     #: created before the fork so the children inherit its descriptor
     arena: EpochArena
-    #: generated-registry attribute names present at fork time: a spec
-    #: whose factory was registered later cannot unpickle in the children
-    registry_names: frozenset[str] = field(default_factory=frozenset)
+    #: a generated-registry serial drawn at fork time: a spec whose factory
+    #: has a larger one was registered later and cannot unpickle in the children
+    registry_serial: int = 0
     forked_at: float = field(default_factory=time.monotonic)
 
 
@@ -419,7 +419,7 @@ class ProcessPipeline:
             order_recv=order_recv,
             supervisor=supervisor,
             arena=EpochArena(),
-            registry_names=frozenset(vars(_generated_registry())),
+            registry_serial=_generated_registry().next_serial(),
         )
 
         supervisor.begin_epoch(epoch)
@@ -437,7 +437,7 @@ class ProcessPipeline:
 
         A factory anchored in the generated registry after the pool was
         forked pickles fine in the parent but would fail lookup in the
-        children — the fork-time registry snapshot catches that here."""
+        children — its serial, above the fork-time one, says so."""
         if pool.layout != tuple((s.name, s.width) for s in specs):
             return "shape"
         # a worker died while idle (OOM kill, signal)
@@ -445,13 +445,10 @@ class ProcessPipeline:
             w.process is None or not w.process.is_alive() for w in pool.workers
         ):
             return "dead-worker"
-        registry_name = _generated_registry().__name__
+        generated_serial = _generated_registry().generated_serial
         for spec in specs:
-            factory = spec.factory
-            if (
-                getattr(factory, "__module__", None) == registry_name
-                and getattr(factory, "__qualname__", "") not in pool.registry_names
-            ):
+            serial = generated_serial(spec.factory)
+            if serial is not None and serial > pool.registry_serial:
                 return "registry"
         return None
 

@@ -262,9 +262,8 @@ class Trace:
 
         ``generate``/``process`` spans are keyed by their packet index;
         ``init``/``finalize`` (and spans on negative control packets, the
-        reduction flush) accumulate under :data:`OVERHEAD_PACKET` — the
-        same table :class:`~repro.experiments.harness.TimeAccumulator`
-        used to build, now engine-native."""
+        reduction flush) accumulate under :data:`OVERHEAD_PACKET`.  This
+        is the harness's one per-packet timing table."""
         out: dict[int, float] = {}
         for s in self.spans:
             if s.filter != filter:
@@ -376,7 +375,9 @@ class BoundedTrace(Trace):
     amortized: events are dropped a chunk at a time once the list exceeds
     its cap by 25%, so steady-state retention floats between ``cap`` and
     ``1.25 * cap`` while appends stay O(1).  A cap of ``None`` disables
-    the bound for that event class (plain ``Trace`` behaviour)."""
+    the bound for that event class (plain ``Trace`` behaviour).  The caps
+    apply to the ``record_*`` hooks, which are how a server feeds it; the
+    inherited bulk :meth:`Trace.merge` does not trim."""
 
     def __init__(
         self,
@@ -422,22 +423,6 @@ class BoundedTrace(Trace):
     def record_blocked(self, blocked: BlockedSpan) -> None:
         with self._lock:
             self.blocked.append(blocked)
-            self.dropped_blocked += self._trim(self.blocked, self.max_blocked)
-
-    def merge(
-        self,
-        spans: Iterable[Span] = (),
-        queue_samples: Iterable[QueueSample] = (),
-        blocked: Iterable[BlockedSpan] = (),
-    ) -> None:
-        with self._lock:
-            self.spans.extend(spans)
-            self.queue_samples.extend(queue_samples)
-            self.blocked.extend(blocked)
-            self.dropped_spans += self._trim(self.spans, self.max_spans)
-            self.dropped_queue_samples += self._trim(
-                self.queue_samples, self.max_queue_samples
-            )
             self.dropped_blocked += self._trim(self.blocked, self.max_blocked)
 
     @property

@@ -67,9 +67,6 @@ class RunResult:
     def payloads(self) -> list[Any]:
         return [b.payload for b in self.outputs]
 
-    def total_bytes(self) -> int:
-        return sum(self.stream_bytes.values())
-
 
 class PipelineError(RuntimeError):
     """A filter copy raised; carries the original traceback text."""

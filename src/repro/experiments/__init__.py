@@ -7,7 +7,6 @@ from .harness import (
     CostModelReport,
     CostModelRow,
     MeasuredRun,
-    TimeAccumulator,
     VERSIONS,
     VersionTimes,
     format_results,
@@ -16,7 +15,6 @@ from .harness import (
     measure_version,
     run_experiment,
     simulate_measured,
-    timed_specs,
     validate_cost_model,
 )
 
@@ -26,7 +24,6 @@ __all__ = [
     "CostModelReport",
     "CostModelRow",
     "MeasuredRun",
-    "TimeAccumulator",
     "VERSIONS",
     "VersionTimes",
     "format_results",
@@ -35,7 +32,6 @@ __all__ = [
     "measure_version",
     "run_experiment",
     "simulate_measured",
-    "timed_specs",
     "validate_cost_model",
 ]
 
@@ -52,7 +48,6 @@ from .figures import (
     figure10,
     figure11,
     figure12,
-    run_all,
 )
 
 __all__ += [
@@ -68,5 +63,4 @@ __all__ += [
     "figure10",
     "figure11",
     "figure12",
-    "run_all",
 ]

@@ -432,13 +432,3 @@ ALL_FIGURES = {
     "fig11": figure11,
     "fig12": figure12,
 }
-
-
-def run_all(
-    fast: bool = True, engine: str = "threaded", backend: str = "auto"
-) -> dict[str, FigureResult]:
-    """Run every evaluation figure (used by EXPERIMENTS.md regeneration)."""
-    out: dict[str, FigureResult] = {}
-    for name, fn in ALL_FIGURES.items():
-        out[name] = fn(engine=engine, backend=backend)
-    return out

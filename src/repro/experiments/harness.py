@@ -33,8 +33,6 @@ the chosen decomposition plan.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -42,7 +40,7 @@ from ..codegen.runtime_support import FINAL_PACKET
 from ..core.compiler import CompileOptions, compile_source, default_plan
 from ..cost.environment import PipelineEnv, cluster_config
 from ..datacutter.engine import EngineOptions, run_pipeline
-from ..datacutter.filters import Filter, FilterContext, FilterSpec, SourceFilter
+from ..datacutter.filters import FilterSpec
 from ..datacutter.obs import Trace
 from ..datacutter.runtime import RunResult
 from ..datacutter.simulation import SimReport, simulate_pipeline
@@ -51,138 +49,6 @@ from .. import apps as _apps  # noqa: F401 - re-export convenience
 from ..apps.common import AppBundle, Workload
 
 VERSIONS = ("Default", "Decomp-Comp", "Decomp-Manual")
-
-
-# ---------------------------------------------------------------------------
-# Timing wrappers (legacy)
-#
-# Predate engine-native tracing: wrap every filter in a stopwatch and
-# accumulate per-(filter, packet) seconds by hand.  The harness now gets
-# the same numbers from Trace.seconds_by_packet() without touching the
-# specs; these stay as back-compat aliases for external users of the old
-# measurement API.
-# ---------------------------------------------------------------------------
-
-
-class TimeAccumulator:
-    """Per-(filter, packet) CPU-time accumulator.
-
-    Thread-safe by default.  For the process engine, pass a
-    ``multiprocessing`` queue as ``sink``: timed filters run inside worker
-    processes, so samples are shipped over the queue and folded back in
-    with :meth:`absorb` once the run completes (worker processes flush
-    their queue feeders on exit, so post-run draining sees every sample).
-    """
-
-    def __init__(self, sink: Any | None = None) -> None:
-        self._lock = threading.Lock()
-        self._sink = sink
-        self.seconds: dict[str, dict[int, float]] = {}
-
-    def add(self, name: str, packet: int, dt: float) -> None:
-        if self._sink is not None:
-            self._sink.put((name, packet, dt))
-            return
-        with self._lock:
-            per = self.seconds.setdefault(name, {})
-            per[packet] = per.get(packet, 0.0) + dt
-
-    def absorb(self) -> None:
-        """Drain the sink queue into the local table (parent side)."""
-        if self._sink is None:
-            return
-        from queue import Empty
-
-        sink, self._sink = self._sink, None
-        while True:
-            try:
-                name, packet, dt = sink.get(timeout=0.25)
-            except Empty:
-                break
-            self.add(name, packet, dt)
-
-    def total(self, name: str) -> float:
-        return sum(self.seconds.get(name, {}).values())
-
-    def per_packet(self, name: str, packet: int) -> float:
-        return self.seconds.get(name, {}).get(packet, 0.0)
-
-
-class _TimedFilter(Filter):
-    def __init__(self, inner: Filter, acc: TimeAccumulator, name: str) -> None:
-        self._inner = inner
-        self._acc = acc
-        self._name = name
-
-    def init(self, ctx: FilterContext) -> None:
-        t0 = time.perf_counter()
-        self._inner.init(ctx)
-        self._acc.add(self._name, FINAL_PACKET, time.perf_counter() - t0)
-
-    def process(self, buf, ctx: FilterContext) -> None:
-        t0 = time.perf_counter()
-        self._inner.process(buf, ctx)
-        self._acc.add(self._name, buf.packet, time.perf_counter() - t0)
-
-    def finalize(self, ctx: FilterContext) -> None:
-        t0 = time.perf_counter()
-        self._inner.finalize(ctx)
-        self._acc.add(self._name, FINAL_PACKET, time.perf_counter() - t0)
-
-
-class _TimedSource(SourceFilter):
-    def __init__(self, inner: SourceFilter, acc: TimeAccumulator, name: str) -> None:
-        self._inner = inner
-        self._acc = acc
-        self._name = name
-
-    def init(self, ctx: FilterContext) -> None:
-        t0 = time.perf_counter()
-        self._inner.init(ctx)
-        self._acc.add(self._name, FINAL_PACKET, time.perf_counter() - t0)
-
-    def generate(self, ctx: FilterContext):
-        it = self._inner.generate(ctx)
-        packet = 0
-        while True:
-            t0 = time.perf_counter()
-            try:
-                item = next(it)
-            except StopIteration:
-                return
-            finally:
-                self._acc.add(self._name, packet, time.perf_counter() - t0)
-            yield item
-            packet += 1
-
-    def finalize(self, ctx: FilterContext) -> None:
-        t0 = time.perf_counter()
-        self._inner.finalize(ctx)
-        self._acc.add(self._name, FINAL_PACKET, time.perf_counter() - t0)
-
-
-def timed_specs(
-    specs: Sequence[FilterSpec], acc: TimeAccumulator
-) -> list[FilterSpec]:
-    out: list[FilterSpec] = []
-    for spec in specs:
-        def factory(spec=spec) -> Filter:
-            inner = spec.make()
-            if isinstance(inner, SourceFilter):
-                return _TimedSource(inner, acc, spec.name)
-            return _TimedFilter(inner, acc, spec.name)
-
-        out.append(
-            FilterSpec(
-                name=spec.name,
-                factory=factory,
-                placement=spec.placement,
-                width=spec.width,
-                out_policy=spec.out_policy,
-                params=spec.params,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +104,6 @@ class MeasuredRun:
     def measured_packet_seconds(self) -> float:
         """Mean total compute seconds per packet across all stages."""
         return sum(self.stage_mean(j) for j in range(len(self.stage_seconds)))
-
-    def link_mean_bytes(self, j: int) -> float:
-        per = self.link_bytes[j]
-        return sum(per.values()) / max(self.num_packets, 1)
 
     def total_link_bytes(self, j: int) -> int:
         return sum(self.link_bytes[j].values())
@@ -729,22 +591,6 @@ def backend_calibration(
         )
         for backend in backends
     }
-
-
-def format_backend_calibration(
-    reports: dict[str, CostModelReport]
-) -> str:
-    """Markdown table of per-backend calibration factors."""
-    lines = [
-        "| app | backend | compute slowdown (measured/predicted) | link bytes ratio |",
-        "|-----|---------|--------------------------------------:|-----------------:|",
-    ]
-    for backend, rep in reports.items():
-        lines.append(
-            f"| {rep.app} | {backend} | x{rep.calibration_factor():.1f} "
-            f"| x{rep.mean_ratio('link'):.2f} |"
-        )
-    return "\n".join(lines)
 
 
 def format_results(

@@ -24,12 +24,6 @@ class SourceSpan:
     def point(line: int, col: int) -> "SourceSpan":
         return SourceSpan(line, col, line, col + 1)
 
-    def merge(self, other: "SourceSpan") -> "SourceSpan":
-        """Smallest span covering both ``self`` and ``other``."""
-        start = min((self.line, self.col), (other.line, other.col))
-        end = max((self.end_line, self.end_col), (other.end_line, other.end_col))
-        return SourceSpan(start[0], start[1], end[0], end[1])
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.line}:{self.col}"
 

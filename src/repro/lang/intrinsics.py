@@ -43,15 +43,6 @@ class OpCount:
     def scaled(self, factor: float) -> "OpCount":
         return OpCount(self.flops * factor, self.iops * factor, self.branches * factor)
 
-    def total(self, flop_weight: float = 1.0, iop_weight: float = 0.5,
-              branch_weight: float = 0.25) -> float:
-        """Weighted scalar op count used by CostComp."""
-        return (
-            self.flops * flop_weight
-            + self.iops * iop_weight
-            + self.branches * branch_weight
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Intrinsic:
@@ -110,20 +101,11 @@ class IntrinsicRegistry:
     def lookup(self, name: str) -> Optional[Intrinsic]:
         return self._table.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._table
-
     def __iter__(self):
         return iter(self._table.values())
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def merged_with(self, other: "IntrinsicRegistry") -> "IntrinsicRegistry":
-        merged = IntrinsicRegistry(list(self._table.values()))
-        for intr in other:
-            merged.register(intr)
-        return merged
 
 
 #: Registry shared by all compilations unless the driver supplies its own.

@@ -80,9 +80,6 @@ class CheckedProgram:
                 return _TypeResolver(self).resolve(f.decl_type)
         raise KeyError(f"{class_name} has no field {field_name}")
 
-    def method_sig(self, class_name: str, method: str) -> MethodSig | None:
-        return self.methods.get(f"{class_name}.{method}")
-
     def pipelined_loops(self) -> list[tuple[ast.MethodDecl, ast.PipelinedLoop]]:
         return ast.find_pipelined_loops(self.program)
 

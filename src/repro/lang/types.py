@@ -19,12 +19,6 @@ from typing import Optional
 class Type:
     """Base class; concrete types are singletons or interned dataclasses."""
 
-    def is_numeric(self) -> bool:
-        return False
-
-    def is_integral(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True, slots=True)
 class PrimType(Type):
@@ -130,14 +124,6 @@ def assignable(target: Type, value: Type) -> bool:
     if isinstance(value, NullType):
         return isinstance(target, (ClassType, ArrayType, RectdomainType))
     return False
-
-
-def byte_size(t: Type) -> int:
-    """Packed size of one scalar value of type ``t``; arrays and objects are
-    sized by their flattened scalar fields at packing time (codegen)."""
-    if isinstance(t, PrimType):
-        return t.byte_size
-    raise ValueError(f"type {t} has no fixed scalar byte size")
 
 
 # ---------------------------------------------------------------------------

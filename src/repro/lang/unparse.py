@@ -1,8 +1,8 @@
 """Pretty-printer turning a dialect AST back into source text.
 
-Used by tests (parse → unparse → parse round-trips to an equal tree), by
-diagnostics, and by the loop-fission pass when reporting the transformed
-program.  Output is canonical: one statement per line, four-space indent,
+Only tests use it: parse → unparse → parse round-trips to an equal tree,
+and the loop-fission tests read the rebuilt ``foreach`` loops back as
+text.  Output is canonical: one statement per line, four-space indent,
 fully parenthesized only where precedence requires it.
 """
 

@@ -81,11 +81,13 @@ def _canon(value: Any) -> Any:
     """Canonical, order-insensitive, hashable form of a key component.
 
     Callables and classes key by qualified name — stable for everything
-    the apps register (module-level functions, ``register_generated``
-    classes whose names encode their parameters, e.g. ``KNN3`` /
-    ``VImage96x96``); ad-hoc closures with identical qualnames would
-    alias, which the source hash and profile fingerprint disambiguate in
-    practice."""
+    the apps register: module-level functions, and ``register_generated``
+    classes, whose qualified names carry a serial that no other class in
+    the process ever gets (``KNN3__g12``), so one class object keys the
+    same on every call and two never share a key (a caller that wants
+    hits across calls reuses the class, as knn's lane classes are).
+    Ad-hoc closures with identical qualnames would alias, which the
+    source hash and profile fingerprint disambiguate in practice."""
     if value is None or isinstance(value, (str, int, float, bool)):
         return (type(value).__name__, value)
     if isinstance(value, type):
@@ -265,8 +267,3 @@ class PlanCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._keys.clear()

@@ -139,11 +139,6 @@ class ServerOptions:
                 f"trace_retention must be >= 1 or None, got {self.trace_retention}"
             )
 
-    def replace(self, **changes: Any) -> "ServerOptions":
-        import dataclasses
-
-        return dataclasses.replace(self, **changes)
-
 
 class ServerClosed(RuntimeError):
     """Submitted to a server that is not accepting requests."""
@@ -237,10 +232,6 @@ class PipelineServer:
         for pending in self.queue.drain():
             self._finish(pending, status="shutdown", error="server stopped")
         self.pool.close()
-
-    @property
-    def running(self) -> bool:
-        return self._dispatcher is not None and self._dispatcher.is_alive()
 
     def listen(
         self,

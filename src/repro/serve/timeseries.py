@@ -316,13 +316,6 @@ class MetricsRegistry:
             c = self._counters.get((name, _label_key(labels)))
             return c.rate(seconds, self._clock()) if c else 0.0
 
-    def gauge_value(
-        self, name: str, labels: dict[str, str] | None = None
-    ) -> float:
-        with self._lock:
-            g = self._gauges.get((name, _label_key(labels)))
-            return g.last if g else 0.0
-
     def gauge_peak(self, name: str, labels: dict[str, str] | None = None) -> float:
         with self._lock:
             g = self._gauges.get((name, _label_key(labels)))
@@ -376,11 +369,6 @@ class MetricsRegistry:
                     h.cumulative if window is None else h.window(window, now)
                 )
         return merged.percentiles(qs)
-
-    def histogram_labels(self, name: str) -> list[dict[str, str]]:
-        """Label sets observed so far for one histogram family."""
-        with self._lock:
-            return [dict(k[1]) for k in self._hists if k[0] == name]
 
     # -- snapshots ---------------------------------------------------------
 

@@ -512,11 +512,6 @@ class TransportListener:
             active = len(self._connections)
         self.server.metrics.record_connection_close(active)
 
-    @property
-    def connections(self) -> int:
-        with self._conn_lock:
-            return len(self._connections)
-
     def close(self) -> None:
         """Stop accepting and drop every live connection."""
         if self._closed.is_set():
@@ -539,9 +534,3 @@ class TransportListener:
             conn.close()
         if self._acceptor.is_alive():
             self._acceptor.join(timeout=5.0)
-
-    def __enter__(self) -> "TransportListener":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -1,58 +1,7 @@
-"""Alias-oracle and workload-profile tests."""
+"""Workload-profile tests."""
 
 
-from repro.analysis import AliasOracle, ConservativeOracle, SymExpr, WorkloadProfile
-from repro.analysis.values import AccessPath, Section
-from repro.lang.types import DOUBLE, ArrayType, ClassType, VarSymbol
-
-
-def sym(name, t=None):
-    return VarSymbol(name, t or ClassType("E"))
-
-
-class TestAliasOracle:
-    def test_distinct_roots_do_not_alias(self):
-        oracle = AliasOracle()
-        assert not oracle.may_alias_roots(sym("a"), sym("b"))
-
-    def test_same_root_aliases(self):
-        oracle = AliasOracle()
-        a = sym("a")
-        assert oracle.may_alias_roots(a, a)
-
-    def test_copy_creates_alias(self):
-        oracle = AliasOracle()
-        a, b = sym("a"), sym("b")
-        oracle.record_copy(b, a)
-        assert oracle.may_alias_roots(a, b)
-        assert oracle.may_alias_roots(b, a)
-
-    def test_transitive_copy_group(self):
-        oracle = AliasOracle()
-        a, b, c = sym("a"), sym("b"), sym("c")
-        oracle.record_copy(b, a)
-        oracle.record_copy(c, a)
-        assert oracle.may_alias_roots(b, c) or oracle.may_alias_roots(c, b)
-
-    def test_must_define_same_root_only(self):
-        oracle = AliasOracle()
-        a, b = sym("a"), sym("b")
-        oracle.record_copy(b, a)
-        pa, pb = AccessPath(a).field("x"), AccessPath(b).field("x")
-        assert oracle.must_define(pa, pa)
-        assert not oracle.must_define(pa, pb)  # may-alias is not must
-
-    def test_conservative_oracle(self):
-        oracle = ConservativeOracle()
-        a, b = sym("a"), sym("b")
-        assert oracle.may_alias_roots(a, b)
-        arr = sym("v", ArrayType(DOUBLE))
-        p1 = AccessPath(arr).elem(Section.point(SymExpr.const(0)))
-        p2 = AccessPath(arr).elem(
-            Section.rect()
-        ) if False else AccessPath(arr).elem(Section.full())
-        assert not oracle.must_define(p2, p1)  # only identical paths
-        assert oracle.must_define(p1, p1)
+from repro.analysis import SymExpr, WorkloadProfile
 
 
 class TestWorkloadProfile:

@@ -236,3 +236,42 @@ def test_engine_and_backend_flags(command):
     for name in flags:
         with pytest.raises(SystemExit):
             parser.parse_args(command + [f"--{name}", "bogus"])
+
+
+def test_top_renders_a_live_server(capsys):
+    """``top`` against a real in-process server: one frame from its deep
+    stats, through ``_render_top`` directly and through ``top --connect``."""
+    from repro.__main__ import _render_top
+    from repro.apps import make_knn_service
+    from repro.serve import LocalClient, PipelineServer, ServerOptions
+
+    service = make_knn_service(n_points=2_000, num_packets=3)
+    with PipelineServer([service], ServerOptions(max_batch=8)) as server:
+        host, port = server.listen()
+        responses = LocalClient(server).burst(
+            [("knn", {"x": 0.1 * i, "y": 0.5, "z": 0.5}) for i in range(4)]
+        )
+        assert all(r.ok for r in responses)
+        frame = _render_top(server.stats(deep=True), "in-process")
+        code = main(
+            ["top", "--connect", f"{host}:{port}", "--iterations", "1", "--no-clear"]
+        )
+    assert code == 0
+    lines = frame.splitlines()
+    assert lines[0].startswith("repro serve top — in-process — ")
+    assert "served 4" in lines[1] and "errors 0" in lines[1]
+    rows = {line.split()[0] for line in lines[4:] if line.strip()}
+    assert {"admitted", "served", "batches"} <= rows
+    assert "request latency (ms)" in frame and "knn" in rows
+    assert "stage latency (ms)" in frame and "knn/execute" in rows
+    remote = capsys.readouterr().out
+    assert remote.startswith(f"repro serve top — {host}:{port} — ")
+    assert "request latency (ms)" in remote
+
+
+def test_serve_listen_runs_for_its_duration(capsys):
+    code = main(["serve", "--listen", "127.0.0.1:0", "--duration", "0.2"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "listening on 127.0.0.1:" in out
+    assert "served: 0  executions: 0" in out

@@ -1,11 +1,10 @@
 """DataCutter substrate tests (§2.2): buffers, streams, transparent
-copies, the threaded runtime, and placement validation."""
+copies, and the threaded runtime."""
 
 
 import numpy as np
 import pytest
 
-from repro.cost import make_pipeline
 from repro.datacutter import (
     Broadcast,
     Buffer,
@@ -14,8 +13,6 @@ from repro.datacutter import (
     FilterSpec,
     LogicalStream,
     PipelineError,
-    PlacedPipeline,
-    RoundRobin,
     SourceFilter,
     payload_nbytes,
     run_pipeline,
@@ -175,49 +172,3 @@ class TestThreadedRuntime:
         ]
         result = run_pipeline(specs)
         assert result.payloads == [float(sum(2 * k for k in range(500)))]
-
-
-class TestPlacement:
-    def test_valid_placement(self):
-        env = make_pipeline([1.0, 1.0, 1.0], [1.0, 1.0])
-        placed = PlacedPipeline(
-            [
-                FilterSpec("a", _Range, placement=0),
-                FilterSpec("b", _Double, placement=1),
-                FilterSpec("c", _Sum, placement=2),
-            ],
-            env,
-        )
-        assert placed.filters_on_stage(1)[0].name == "b"
-        pairs = placed.crossing_pairs()
-        assert [(a.name, b.name, link) for a, b, link in pairs] == [
-            ("a", "b", 0),
-            ("b", "c", 1),
-        ]
-
-    def test_backward_flow_rejected(self):
-        env = make_pipeline([1.0, 1.0], [1.0])
-        with pytest.raises(ValueError, match="backwards"):
-            PlacedPipeline(
-                [
-                    FilterSpec("a", _Range, placement=1),
-                    FilterSpec("b", _Sum, placement=0),
-                ],
-                env,
-            )
-
-    def test_out_of_range_stage_rejected(self):
-        env = make_pipeline([1.0], [])
-        with pytest.raises(ValueError, match="stage 3"):
-            PlacedPipeline([FilterSpec("a", _Range, placement=3)], env)
-
-    def test_widths_from_env(self):
-        env = make_pipeline([1.0, 1.0], [1.0], widths=[4, 2])
-        placed = PlacedPipeline(
-            [
-                FilterSpec("a", _Range, placement=0),
-                FilterSpec("b", _Sum, placement=1),
-            ],
-            env,
-        ).with_widths_from_env()
-        assert [s.width for s in placed.specs] == [4, 2]

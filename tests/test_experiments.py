@@ -1,4 +1,4 @@
-"""Experiment-harness tests: timing wrappers, measurement aggregation,
+"""Experiment-harness tests: per-packet timing, measurement aggregation,
 calibration, and simulation of measured runs."""
 
 import pytest
@@ -7,13 +7,12 @@ from repro.apps import make_knn_app
 from repro.cost import cluster_config
 from repro.datacutter import Filter, FilterSpec, SourceFilter, run_pipeline
 from repro.experiments import (
-    TimeAccumulator,
     calibrate_net_scale,
     format_results,
+    measure_pipeline,
     measure_version,
     run_experiment,
     simulate_measured,
-    timed_specs,
 )
 from repro.experiments.harness import VersionTimes
 
@@ -30,34 +29,25 @@ class _Work(Filter):
         ctx.write(buf.payload + total * 0, buf.packet)
 
 
-class TestTimingWrappers:
-    def test_accumulator_thread_safety_and_totals(self):
-        acc = TimeAccumulator()
-        acc.add("f", 0, 0.5)
-        acc.add("f", 0, 0.25)
-        acc.add("f", 1, 1.0)
-        assert acc.total("f") == pytest.approx(1.75)
-        assert acc.per_packet("f", 0) == pytest.approx(0.75)
+class TestPerPacketTiming:
+    """The harness's per-(filter, packet) seconds come from the run's
+    trace (``Trace.seconds_by_packet``), with the specs left as they are."""
 
-    def test_timed_specs_record_per_packet(self):
-        specs = [
-            FilterSpec("src", _Src),
-            FilterSpec("work", _Work, placement=1),
-        ]
-        acc = TimeAccumulator()
-        run_pipeline(timed_specs(specs, acc))
-        assert set(acc.seconds["work"].keys()) >= {0, 1, 2, 3}
-        assert all(t >= 0 for t in acc.seconds["work"].values())
+    SPECS = [
+        FilterSpec("src", _Src),
+        FilterSpec("work", _Work, placement=1),
+    ]
 
-    def test_timed_specs_preserve_results(self):
-        specs = [
-            FilterSpec("src", _Src),
-            FilterSpec("work", _Work, placement=1),
-        ]
-        plain = run_pipeline(specs).payloads
-        acc = TimeAccumulator()
-        timed = run_pipeline(timed_specs(specs, acc)).payloads
-        assert sorted(plain) == sorted(timed)
+    def test_trace_records_per_packet(self):
+        _run, trace = measure_pipeline(self.SPECS)
+        per = trace.seconds_by_packet("work")
+        assert set(per) >= {0, 1, 2, 3}
+        assert all(t >= 0 for t in per.values())
+
+    def test_traced_run_preserves_results(self):
+        plain = run_pipeline(self.SPECS).payloads
+        run, _trace = measure_pipeline(self.SPECS)
+        assert sorted(plain) == sorted(run.payloads)
 
 
 @pytest.fixture(scope="module")

@@ -162,6 +162,16 @@ class TestFusionProtocol:
         for i, plan in enumerate(plans):
             assert qx[i, 0] == plan.params["qx"]
 
+    def test_fused_plan_extract_returns_every_lane(self, knn_service):
+        """A fused plan run whole (not demuxed by the server) yields one
+        result per bucket lane, each equal to its own query's one-shot."""
+        plans = [knn_service.plan(b) for b in distinct_queries(3)]
+        lanes = oneshot(knn_service.fuse_plans(plans))
+        assert len(lanes) == 4  # the 4-wide bucket, padded with the last
+        for lane, plan in zip(lanes, plans):
+            assert lane.tobytes() == oneshot(plan).tobytes()
+        assert lanes[3].tobytes() == lanes[2].tobytes()
+
     def test_bucketed_options_identity_is_stable(self, knn_service):
         f1 = knn_service.fuse_plans(
             [knn_service.plan(b) for b in distinct_queries(3)]

@@ -1,12 +1,10 @@
 """Cross-cutting property tests: the §3 semantic guarantees the compiler
-relies on, analysis-precision ablations, and pipeline invariances."""
+relies on, analysis determinism, and pipeline invariances."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
-    AliasOracle,
-    ConservativeOracle,
     GenConsAnalyzer,
     analyze_communication,
     build_filter_chain,
@@ -42,30 +40,18 @@ class M {
 """
 
 
-def reqcomm_sizes(oracle):
+def reqcomm_sizes():
     checked = check(parse(SOURCE))
     meth, loop = checked.pipelined_loops()[0]
     chain = build_filter_chain(checked, meth, loop)
-    analysis = analyze_communication(
-        chain, GenConsAnalyzer(checked, alias=oracle)
-    )
+    analysis = analyze_communication(chain, GenConsAnalyzer(checked))
     return [len(req) for req in analysis.reqcomm]
-
-
-class TestAliasPrecisionAblation:
-    def test_conservative_oracle_never_smaller(self):
-        """Ablation: dropping the dialect's aliasing guarantees can only
-        grow (or keep) every ReqComm set — precision is monotone."""
-        precise = reqcomm_sizes(AliasOracle())
-        conservative = reqcomm_sizes(ConservativeOracle())
-        assert len(precise) == len(conservative)
-        assert all(c >= p for p, c in zip(precise, conservative))
 
 
 class TestAnalysisDeterminism:
     def test_reqcomm_stable_across_runs(self):
-        a = reqcomm_sizes(AliasOracle())
-        b = reqcomm_sizes(AliasOracle())
+        a = reqcomm_sizes()
+        b = reqcomm_sizes()
         assert a == b
 
 

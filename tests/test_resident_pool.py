@@ -27,6 +27,7 @@ from repro.apps import (
     make_vmscope_service,
     make_zbuffer_app,
 )
+from repro.codegen.generated_registry import register_generated
 from repro.cost import cluster_config
 from repro.datacutter import (
     EngineOptions,
@@ -482,6 +483,47 @@ def test_refork_reason_is_recorded():
         # and a clean epoch afterwards clears it
         note = _worker_pool_note(session, trace, pid_specs(width=2))
         assert (note["reforks"], note["refork_reason"]) == (3, None)
+    no_orphans()
+
+
+def _generated_tag():
+    """A fresh filter class anchored in the generated registry, as
+    compiled filter units are."""
+
+    class GenTag(Filter):
+        def process(self, buf, ctx):
+            ctx.write((buf.payload, os.getpid()), buf.packet)
+
+    return register_generated(GenTag)
+
+
+def test_class_generated_after_fork_reforks_for_registry():
+    def specs(tag):
+        return [
+            FilterSpec("src", PidSource, width=1, params={"n": 4}),
+            FilterSpec("tag", tag, width=1),
+        ]
+
+    trace = Trace()
+    early = _generated_tag()
+    with EngineSession(proc_options(trace=trace)) as session:
+        note = _worker_pool_note(session, trace, specs(early))
+        assert (note["reforks"], note["refork_reason"]) == (0, None)
+        # anchored before the fork: it resolves in the workers as it is
+        note = _worker_pool_note(session, trace, specs(early))
+        assert (note["reforks"], note["refork_reason"]) == (0, None)
+        late = _generated_tag()
+        run = session.run(specs(late))
+        note = dict(trace.meta["worker_pool"])
+        assert (note["reforks"], note["refork_reason"]) == (1, "registry")
+        assert len(run.payloads) == 4
+        src_pids = {src_pid for src_pid, _ in run.payloads}
+        tag_pids = {tag_pid for _, tag_pid in run.payloads}
+        assert len(src_pids) == len(tag_pids) == 1
+        assert src_pids != tag_pids and os.getpid() not in src_pids | tag_pids
+        # the new pool was forked after ``late``: no further refork
+        note = _worker_pool_note(session, trace, specs(late))
+        assert (note["reforks"], note["refork_reason"]) == (1, None)
     no_orphans()
 
 

@@ -25,6 +25,7 @@ class TestSymExpr:
         n = SymExpr.var("n")
         expr = (n + 1) * 2 - n
         assert expr.evaluate({"n": 10}) == 12
+        assert (10 - n).evaluate({"n": 4}) == 6
 
     def test_polynomial_product(self):
         n, s = SymExpr.var("n"), SymExpr.var("s")
@@ -105,6 +106,21 @@ class TestAccessPath:
         v = var("c")
         assert AccessPath(v).field("minval") == AccessPath(v).field("minval")
         assert AccessPath(v).field("minval") != AccessPath(v).field("maxval")
+
+    def test_equal_sections_compare_and_hash_equal(self):
+        """Sections built apart with the same bounds are one value: equal,
+        equal hashes, one set member — alone and under an element path."""
+        v, n = var("a", ArrayType(DOUBLE)), SymExpr.var("n")
+
+        def section(width):
+            return Section.rect(Interval(n, n + width))
+
+        assert section(4) == section(4) and section(4) != section(5)
+        assert len({section(4), section(4), Section.full(), Section.full()}) == 2
+        paths = [AccessPath(v).elem(section(w)) for w in (4, 4, 5)]
+        assert paths[0] == paths[1] and paths[0] != paths[2]
+        assert hash(paths[0]) == hash(paths[1])
+        assert len(set(paths)) == 2
 
     def test_prefix_covers_extension(self):
         v = var("c")
